@@ -41,19 +41,19 @@ def main() -> None:
 
     # -- memcheck: lane 3 walks one element past its adjacency list. ---- #
     adj = memory.alloc("adj", np.arange(16, dtype=np.int64))
-    engine.read(adj, np.array([2, 16]), np.array([0, 3]))
-    engine.end_step("setup", np.array([0, 3]), 4)
+    engine.read_compacted(adj, np.array([2, 16]), np.array([0, 3]))
+    engine.end_step_warps("setup", np.array([0]), np.array([2]), 4)
 
     # -- initcheck: summing a result buffer nobody wrote. --------------- #
     result = memory.alloc_empty("result", 8, np.int64)
-    engine.read(result, np.arange(8), np.arange(8))
-    engine.end_step("reduce", np.arange(8), 2)
+    engine.read_compacted(result, np.arange(8), np.arange(8))
+    engine.end_step_warps("reduce", np.array([0]), np.array([8]), 2)
 
     # -- racecheck: warps 0 and 1 both bump counter[5], no atomicAdd. --- #
     counts = memory.alloc("counts", np.zeros(8, np.int64))
     engine.write(counts, np.array([5]), np.array([1]), np.array([0]))
     engine.write(counts, np.array([5]), np.array([1]), np.array([ws]))
-    engine.end_step("merge", np.array([0, ws]), 6)
+    engine.end_step_warps("merge", np.array([0, 1]), np.array([1, 1]), 6)
 
     print(san.format_report())
     assert san.counts() == {"memcheck": 1, "initcheck": 1, "racecheck": 1}
@@ -63,7 +63,7 @@ def main() -> None:
     memory, engine = fresh_engine(strict)
     adj = memory.alloc("adj", np.arange(16, dtype=np.int64))
     try:
-        engine.read(adj, np.array([99]), np.array([0]))
+        engine.read_compacted(adj, np.array([99]), np.array([0]))
     except MemcheckError as exc:
         print(f"\nstrict mode: {type(exc).__name__}: {exc}")
 

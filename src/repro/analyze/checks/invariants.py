@@ -20,8 +20,8 @@ from repro.analyze.findings import Finding
 from repro.analyze.registry import CheckSpec, register
 
 _ALLOC_METHODS = {"alloc", "alloc_empty", "try_alloc"}
-_READ_ATTRS = {"read", "read_compacted"}
-_END_ATTRS = {"end_step", "end_step_warps"}
+_READ_ATTRS = {"read_compacted"}
+_END_ATTRS = {"end_step_warps"}
 _SAFE_RANDOM = {"default_rng", "Generator", "SeedSequence", "BitGenerator"}
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -114,7 +114,7 @@ SAN101 = register(CheckSpec(
 
 
 # --------------------------------------------------------------------- #
-# SAN102 — engine reads with no end_step accounting in scope
+# SAN102 — engine reads with no end_step_warps accounting in scope
 # --------------------------------------------------------------------- #
 
 def _is_read_attr(node: ast.AST) -> bool:
@@ -132,7 +132,7 @@ def _san102_scope(ctx: ModuleContext,
         targets = node.targets if isinstance(node, ast.Assign) \
             else [node.target]
         candidates = [value]
-        if isinstance(value, ast.IfExp):  # read = a.read_compacted if c else a.read
+        if isinstance(value, ast.IfExp):  # r = a.read_compacted if c else g
             candidates = [value.body, value.orelse]
         for cand in candidates:
             if _is_read_attr(cand):
@@ -150,8 +150,7 @@ def _san102_scope(ctx: ModuleContext,
             continue
         func = node.func
         if isinstance(func, ast.Attribute):
-            # file.read() / stream.read(n) are not engine reads — the
-            # engine signature is read(buf, indices, thread_ids).
+            # Engine reads take (buf, indices, thread_ids).
             if func.attr in _READ_ATTRS and len(node.args) >= 2:
                 reads.append(node)
             elif func.attr in _END_ATTRS:
@@ -167,8 +166,8 @@ def _san102_scope(ctx: ModuleContext,
     first = min(reads, key=lambda c: (c.lineno, c.col_offset))
     return [SAN102.finding(
         ctx.path, first.lineno, first.col_offset,
-        "engine read(s) in a scope that never calls end_step/"
-        "end_step_warps — this traffic is invisible to the timing model")]
+        "engine read(s) in a scope that never calls end_step_warps — "
+        "this traffic is invisible to the timing model")]
 
 
 def _run_san102(ctx: ModuleContext) -> list[Finding]:
@@ -180,7 +179,7 @@ def _run_san102(ctx: ModuleContext) -> list[Finding]:
 
 SAN102 = register(CheckSpec(
     id="SAN102", name="unaccounted-reads",
-    summary="engine read without end_step/end_step_warps in its scope",
+    summary="engine read without end_step_warps in its scope",
     severity="error", run=_run_san102))
 
 

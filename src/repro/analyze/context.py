@@ -161,8 +161,8 @@ class ModuleContext:
 def scope_nodes(scope: ast.AST | list[ast.AST]) -> list[ast.AST]:
     """Flat node list of one legacy scope.  The module pseudo-scope is
     already pruned of function bodies; a function scope keeps its
-    nested helpers (an ``end_step`` in the outer loop covers reads in
-    an inner ``_adj_read``)."""
+    nested helpers (an ``end_step_warps`` in the outer loop covers reads
+    in an inner ``_adj_read``)."""
     if isinstance(scope, list):
         return scope
     return list(ast.walk(scope))

@@ -3,14 +3,13 @@
 This is the config-driven generalization of the Section III-C launch
 grid search (E9): instead of one hard-coded (threads/block × blocks/SM)
 sweep, it measures any :class:`~repro.bench.sweepconfig.SweepConfig`
-grid — launch geometry × kernel × engine × scale per device — and picks
+grid — launch geometry × kernel × scale per device — and picks
 one winner per device by the configured objective:
 
 * ``kernel_ms`` — simulated kernel milliseconds (deterministic, the
   committed ``configs/tuned.json`` uses this);
-* ``host_s`` — measured host wall-clock of the same run (machine-local;
-  the ``engine`` axis only matters here, since both engines are
-  bit-identical in everything simulated).
+* ``host_s`` — measured host wall-clock of the same run
+  (machine-local).
 
 The winners serialize as ``configs/tuned.json``
 (:func:`SweepReport.tuned_doc`), which the serve scheduler consumes via
@@ -95,7 +94,6 @@ class SweepReport:
         for device, row in sorted(self.best_per_device().items()):
             winners[device] = {
                 "kernel": row.point.kernel,
-                "engine": row.point.engine,
                 "threads_per_block": row.point.threads_per_block,
                 "blocks_per_sm": row.point.blocks_per_sm,
                 "kernel_ms": round(row.kernel_ms, 4),
@@ -125,7 +123,7 @@ class SweepReport:
                  f"objective {self.config.objective}"]
         for device, row in sorted(self.best_per_device().items()):
             lines.append(
-                f"  {device:<9} -> {row.point.kernel}/{row.point.engine} "
+                f"  {device:<9} -> {row.point.kernel} "
                 f"{row.point.threads_per_block}x{row.point.blocks_per_sm} "
                 f"({row.kernel_ms:.4f} ms simulated)")
         return "\n".join(lines)
@@ -139,7 +137,6 @@ def measure_point(graph: EdgeArray, device: DeviceSpec,
     ``host_s`` is the measured host wall-clock of the same run.
     """
     options = GpuOptions(kernel=kernel_option_field(point.kernel),
-                         engine=point.engine,
                          launch=LaunchConfig(point.threads_per_block,
                                              point.blocks_per_sm))
     t0 = perf_counter()
@@ -176,7 +173,7 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepReport:
 
     Graphs build once per distinct scale (the workload's default scale ×
     the grid multiplier × ``REPRO_SCALE``); every (device, kernel,
-    engine, launch) cell then reuses them.  Triangle counts are
+    launch) cell then reuses them.  Triangle counts are
     cross-checked across all cells of a scale — a tuner that changed the
     answer would be measuring a different computation.
     """

@@ -34,11 +34,10 @@ from repro.bench.experiments import (amdahl_experiment, baseline_experiment,
                                      run_all_ablations)
 from repro.bench.runner import run_table1
 from repro.graphs.datasets import WORKLOADS, get, kronecker_names
-from repro.runtime import kernel_names
 
 _COMMANDS = ("table1", "table2", "figure1", "ablations", "gridsearch",
              "inputformat", "multigpu", "baselines", "related", "profile",
-             "sweep", "serve", "serve-scale", "wallclock", "overlap",
+             "sweep", "serve", "serve-scale", "overlap",
              "kernelzoo", "sanitize", "analyze", "tune", "reproduce", "all")
 #: ``all`` expands to every experiment except the bundle (which would
 #: re-run everything a second time into ``artifacts/``) and the static
@@ -86,29 +85,11 @@ def _parser() -> argparse.ArgumentParser:
                    help="serve-scale: allowed plane-p99 drift factor vs "
                         "the baseline (default: %(default)s)")
     p.add_argument("--out", metavar="FILE",
-                   help="wallclock/overlap/serve-scale/kernelzoo: also "
-                        "write the report as JSON "
-                        "(e.g. BENCH_kernel.json)")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
-                   help="wallclock: timed runs per engine per row "
-                        "(default: %(default)s)")
-    p.add_argument("--kernel", action="append", dest="kernels",
-                   choices=list(kernel_names()), metavar="NAME",
-                   help="wallclock: kernel(s) to measure — repeat the flag "
-                        f"to widen the matrix (choices: "
-                        f"{', '.join(kernel_names())}; default: merge)")
-    p.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                   help="wallclock: exit nonzero if any row's "
-                        "compacted-vs-lockstep speedup is below X")
+                   help="overlap/serve-scale/kernelzoo: also write the "
+                        "report as JSON (e.g. BENCH_overlap.json)")
     p.add_argument("--baseline", metavar="FILE",
-                   help="wallclock/overlap/kernelzoo: committed "
-                        "BENCH_*.json to regression-check against "
-                        "(speedup drift for wallclock, exact simulated "
-                        "ms for overlap/kernelzoo)")
-    p.add_argument("--baseline-tolerance", type=float, default=1.5,
-                   metavar="X",
-                   help="wallclock: allowed speedup drift factor vs the "
-                        "baseline (default: %(default)s)")
+                   help="overlap/kernelzoo: committed BENCH_*.json to "
+                        "regression-check against (exact simulated ms)")
     p.add_argument("--drift", type=float, default=0.10, metavar="X",
                    help="overlap: allowed relative gap between the "
                         "executed makespan and the modeled pipelined_ms "
@@ -319,52 +300,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             print(f"  baseline check passed ({args.serve_baseline}, "
                   f"p99 tolerance {args.p99_tolerance:g}x)")
-
-    if "wallclock" in commands:
-        from repro.bench.wallclock import DEFAULT_ROWS, run_wallclock
-        print("\n=== engine wall-clock — lockstep oracle vs compacted ===")
-        wc_rows = DEFAULT_ROWS
-        if args.workloads:
-            wanted = set(args.workloads)
-            wc_rows = tuple(r for r in DEFAULT_ROWS if r[0] in wanted)
-        report = run_wallclock(wc_rows,
-                               kernels=tuple(args.kernels or ("merge",)),
-                               repeats=args.repeats,
-                               seed=args.seed,
-                               progress=lambda r: print("  " + r.summary(),
-                                                        flush=True))
-        print(f"  min speedup: {report.min_speedup:.2f}x")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(report.json_str())
-            print(f"  wrote {args.out}")
-        _write(args.csv, "wallclock.json", report.json_str())
-        if any(not r.identical for r in report.rows):
-            print("  FAIL: engines disagreed (see identical=False rows)")
-            return 1
-        if (args.min_speedup is not None
-                and report.min_speedup < args.min_speedup):
-            print(f"  FAIL: min speedup {report.min_speedup:.2f}x below "
-                  f"required {args.min_speedup:.2f}x")
-            return 1
-        if args.baseline:
-            from repro.bench.wallclock import (baseline_new_rows,
-                                               baseline_problems)
-            with open(args.baseline) as fh:
-                baseline_doc = json.load(fh)
-            for cell in baseline_new_rows(report, baseline_doc):
-                print(f"  baseline-check: {cell}: new cell (not in "
-                      "baseline; adopted at the next regeneration)")
-            drift = baseline_problems(report, baseline_doc,
-                                      tolerance=args.baseline_tolerance)
-            for p in drift:
-                print("  baseline-check:", p)
-            if drift:
-                print(f"  FAIL: speedup drifted beyond "
-                      f"{args.baseline_tolerance:g}x of {args.baseline}")
-                return 1
-            print(f"  baseline check passed ({args.baseline}, "
-                  f"tolerance {args.baseline_tolerance:g}x)")
 
     if "overlap" in commands:
         from repro.bench.overlap import run_overlap

@@ -213,8 +213,8 @@ def grid_search(graph: EdgeArray,
     from repro.bench.sweepconfig import SweepPoint
 
     points = [SweepPoint(device=device.name, kernel="merge",
-                         engine="compacted", threads_per_block=tpb,
-                         blocks_per_sm=bps, scale=1.0)
+                         threads_per_block=tpb, blocks_per_sm=bps,
+                         scale=1.0)
               for tpb in tpb_values for bps in bps_values]
     rows, _skipped = measure_launch_grid(graph, device, points)
     result = GridSearchResult(device=device)

@@ -2,8 +2,8 @@
 
 One invocation regenerates every headline artifact of the reproduction —
 Table I, Table II, Figure 1, the ``==SERVE==`` report, the serve-scale
-overload bench, the engine wall-clock bench and the autotuned per-device
-configs — and writes the lot into one output directory:
+overload bench and the autotuned per-device configs — and writes the
+lot into one output directory:
 
 * ``summary.json`` — machine-readable: every measured number next to
   the paper's quoted band, with an explicit pass/fail per band check;
@@ -12,8 +12,8 @@ configs — and writes the lot into one output directory:
   platform, git SHA, ``REPRO_SCALE``, per-experiment RNG seeds, the
   sweep config that produced ``tuned.json``);
 * the per-experiment files (``table1.csv``, ``figure1.csv``,
-  ``BENCH_kernel.json``, ``BENCH_serve.json``, ``serve_jobs.csv``,
-  ``tuned.json``) — see ``ARTIFACTS.md`` for each file's schema.
+  ``BENCH_serve.json``, ``serve_jobs.csv``, ``tuned.json``) — see
+  ``ARTIFACTS.md`` for each file's schema.
 
 Two presets: ``full`` reproduces the committed artifacts (all 13
 Table I rows, the committed bench configs, the ``configs/sweep.toml``
@@ -50,7 +50,6 @@ from repro.bench.calibration import check_daggers, row_checks
 from repro.bench.runner import RowResult, run_table1
 from repro.bench.serve_scale import report_doc, run_serve_scale
 from repro.bench.sweepconfig import SweepConfig, load_sweep_config
-from repro.bench.wallclock import run_wallclock
 from repro.graphs.datasets import kronecker_names
 from repro.serve.tuned import TunedConfigs
 from repro.utils import env_scale
@@ -65,12 +64,9 @@ SUMMARY_FORMAT = "repro-summary/v1"
 VOLATILE_KEYS = frozenset({
     "generated_at", "git_sha", "host",
     "host_s", "host_seconds", "host_profile",
-    "lockstep_s", "compacted_s", "lockstep_runs", "compacted_runs",
-    "speedup", "min_speedup",
 })
 
-#: Committed baselines the ``full`` preset regression-checks against.
-KERNEL_BASELINE = "BENCH_kernel.json"
+#: Committed baseline the ``full`` preset regression-checks against.
 SERVE_BASELINE = "BENCH_serve.json"
 
 #: Every file the bundle writes: filename -> (producer, description).
@@ -93,9 +89,6 @@ ARTIFACT_FILES: dict[str, tuple[str, str]] = {
     "figure1.csv": (
         "repro.bench.figures.figure1_csv",
         "Figure 1 series points (nodes vs ms per device)"),
-    "BENCH_kernel.json": (
-        "repro.bench.wallclock.WallclockReport.json_str",
-        "engine wall-clock bench (lockstep vs compacted host seconds)"),
     "BENCH_serve.json": (
         "repro.bench.serve_scale.ServeScaleResult.json_str",
         "serve-scale overload bench, seed vs control-plane replays"),
@@ -128,8 +121,6 @@ class Preset:
     configs: tuple[str, ...]
     serve_duration_ms: float
     serve_scale_duration_ms: float
-    wallclock_rows: tuple[tuple[str, float | None], ...]
-    wallclock_repeats: int
     sweep_tpb: tuple[int, ...]
     sweep_bps: tuple[int, ...]
     #: compare against the committed BENCH_*.json files (only meaningful
@@ -141,10 +132,6 @@ FULL = Preset(
     name="full", factor=1.0, table1_workloads=None,
     configs=("c2050", "quad", "gtx980"),
     serve_duration_ms=60_000.0, serve_scale_duration_ms=30_000.0,
-    wallclock_rows=(("ba", 0.0078125), ("ba", 0.015625),
-                    ("kron18", 0.0078125), ("kron20", None),
-                    ("internet", None), ("ws", None)),
-    wallclock_repeats=3,
     sweep_tpb=(32, 64, 256, 1024), sweep_bps=(1, 2, 8, 16),
     compare_baselines=True)
 
@@ -153,8 +140,6 @@ TINY = Preset(
     table1_workloads=("ba", "ws", "internet", "kron16", "kron17", "kron18"),
     configs=("c2050", "quad", "gtx980"),
     serve_duration_ms=10_000.0, serve_scale_duration_ms=10_000.0,
-    wallclock_rows=(("ba", 0.0078125), ("ws", None)),
-    wallclock_repeats=1,
     sweep_tpb=(64, 256), sweep_bps=(2, 8),
     compare_baselines=False)
 
@@ -212,7 +197,7 @@ def environment_manifest(preset: Preset, seed: int,
         "env_scale": env_scale(),
         "seeds": {
             "table1": seed, "figure1": seed, "serve": seed,
-            "serve_scale": seed, "wallclock": seed, "sweep": sweep.seed,
+            "serve_scale": seed, "sweep": sweep.seed,
         },
         "sweep_config": {"source": sweep_source, **sweep.doc()},
     }
@@ -377,30 +362,6 @@ def _serve_scale_section(res, preset: Preset) -> dict:
             "ok": all(c["passed"] for c in checks)}
 
 
-def _wallclock_section(report, preset: Preset) -> dict:
-    from repro.bench.wallclock import baseline_problems
-
-    identical = all(r.identical for r in report.rows)
-    checks = [
-        _check("engines_identical", identical,
-               "compacted and lockstep must agree on counts and counters"),
-        # Detail stays value-free: the measured ratio is host-dependent
-        # and lives under the volatile ``min_speedup`` key in ``doc``.
-        _check("compacted_not_slower", report.min_speedup >= 1.0,
-               "min compacted-vs-lockstep speedup must be >= 1.0 "
-               "(measured value: doc.rows[*].speedup)"),
-    ]
-    drift: list[str] = []
-    if preset.compare_baselines and os.path.exists(KERNEL_BASELINE):
-        with open(KERNEL_BASELINE) as fh:
-            drift = baseline_problems(report, json.load(fh))
-        checks.append(_check(
-            "wallclock_baseline_drift", not drift,
-            "; ".join(drift) or f"within tolerance of {KERNEL_BASELINE}"))
-    return {"doc": report.to_json(), "baseline_problems": drift,
-            "checks": checks, "ok": all(c["passed"] for c in checks)}
-
-
 def _analyze_section(analysis) -> dict:
     """Static-analyzer cleanliness of the checkout the bundle ran from."""
     checks = [
@@ -440,7 +401,6 @@ def _tune_section(sweep_report: SweepReport, tuned_path: str) -> dict:
         paper_point = [r for r in sweep_report.rows
                        if r.point.device == device
                        and r.point.kernel == row.point.kernel
-                       and r.point.engine == row.point.engine
                        and r.point.scale == row.point.scale
                        and (r.point.threads_per_block,
                             r.point.blocks_per_sm) == (64, 8)]
@@ -494,7 +454,7 @@ def _resolve_sweep(preset: Preset, seed: int,
     return SweepConfig(
         name=f"reproduce-{preset.name}", workload="kron17", seed=seed,
         objective="kernel_ms", devices=("gtx980", "c2050"),
-        kernels=("merge", "warp_intersect"), engines=("compacted",),
+        kernels=("merge", "warp_intersect"),
         threads_per_block=preset.sweep_tpb, blocks_per_sm=preset.sweep_bps,
         scales=(1.0,)), "<built-in>"
 
@@ -537,12 +497,6 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
         res = run_serve_scale(duration_ms=preset.serve_scale_duration_ms,
                               seed=seed)
 
-        say("[reproduce] wallclock ...")
-        wc = run_wallclock(preset.wallclock_rows,
-                           repeats=preset.wallclock_repeats, seed=seed,
-                           progress=(lambda r: say("  " + r.summary()))
-                           if verbose else None)
-
         say(f"[reproduce] autotune sweep ({sweep_source}) ...")
         sweep_report = run_sweep(sweep_config)
 
@@ -559,7 +513,6 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
             "figure1": _figure1_section(kron_rows),
             "serve": _serve_section(exp, preset, seed),
             "serve_scale": _serve_scale_section(res, preset),
-            "wallclock": _wallclock_section(wc, preset),
             "tune": _tune_section(sweep_report, tuned_path),
             "analyze": _analyze_section(analysis),
         }
@@ -571,10 +524,10 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
             "ok": all(s["ok"] for s in sections.values()),
         }
 
-        report_md = render_report(summary, rows, kron_rows, exp, res, wc,
+        report_md = render_report(summary, rows, kron_rows, exp, res,
                                   sweep_report)
         files = _write_artifacts(out_dir, summary, report_md, rows,
-                                 kron_rows, exp, res, wc, analysis)
+                                 kron_rows, exp, res, analysis)
     result = ReproduceResult(summary=summary, report_md=report_md,
                              out_dir=out_dir, files=files)
     say(f"[reproduce] {'PASS' if result.ok else 'FAIL'}: "
@@ -583,14 +536,13 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
 
 
 def _write_artifacts(out_dir, summary, report_md, rows, kron_rows, exp,
-                     res, wc, analysis) -> list[str]:
+                     res, analysis) -> list[str]:
     content = {
         "manifest.json": _dumps(summary["manifest"]),
         "summary.json": _dumps(summary),
         "report.md": report_md,
         "table1.csv": tables.table1_csv(rows),
         "figure1.csv": figures.figure1_csv(kron_rows),
-        "BENCH_kernel.json": wc.json_str(),
         "BENCH_serve.json": res.json_str(),
         "serve_jobs.csv": exp.report.jobs_csv(),
         "analysis.sarif": analysis.sarif,
@@ -605,7 +557,7 @@ def _write_artifacts(out_dir, summary, report_md, rows, kron_rows, exp,
     return sorted(files + [os.path.join(out_dir, "tuned.json")])
 
 
-def render_report(summary, rows, kron_rows, exp, res, wc,
+def render_report(summary, rows, kron_rows, exp, res,
                   sweep_report: SweepReport) -> str:
     """The human-readable ``report.md``."""
     m = summary["manifest"]
@@ -658,9 +610,6 @@ def render_report(summary, rows, kron_rows, exp, res, wc,
 
     out.write(f"## Serve-scale (overload) — {verdict(s['serve_scale'])}\n\n")
     out.write(res.summary() + "\n\n")
-
-    out.write(f"## Engine wall-clock — {verdict(s['wallclock'])}\n\n")
-    out.write("```text\n" + wc.format_report() + "```\n\n")
 
     out.write(f"## Autotune — {verdict(s['tune'])}\n\n")
     out.write("```text\n" + sweep_report.summary() + "\n```\n\n")

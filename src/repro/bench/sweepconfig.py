@@ -1,7 +1,7 @@
 """Config-file experiment sweeps: the declarative grid schema.
 
 A sweep is a TOML (or JSON) file describing a full experiment grid —
-launch geometry × kernel × engine × scale per device — that the
+launch geometry × kernel × scale per device — that the
 autotuner (:mod:`repro.bench.autotune`) measures point by point.  The
 point of declarativity (the Wang/Owens comparative-study lesson, see
 PAPERS.md) is that a kernel/launch choice only means something when the
@@ -21,7 +21,6 @@ Schema (annotated example in ``docs/reproducibility.md``)::
     [grid]                     # every list is one grid axis
     device = ["gtx980", "c2050"]
     kernel = ["merge", "warp_intersect"]
-    engine = ["compacted"]
     threads_per_block = [32, 64, 256, 1024]
     blocks_per_sm = [1, 2, 8, 16]
     scale = [1.0]              # multiplier on the workload default scale
@@ -49,8 +48,6 @@ from repro.gpusim.device import DEVICES
 #: through the plain counting pipeline (``local`` needs the per-vertex
 #: accumulator path and is not a tuning candidate).
 SWEEP_KERNELS = ("merge", "warp_intersect")
-#: Host engines (pure wall-clock knob; simulated numbers are identical).
-SWEEP_ENGINES = ("compacted", "lockstep")
 #: Autotune objectives: simulated kernel milliseconds (deterministic) or
 #: measured host seconds of the same run (machine-dependent).
 OBJECTIVES = ("kernel_ms", "host_s")
@@ -62,13 +59,12 @@ class SweepPoint:
 
     device: str
     kernel: str
-    engine: str
     threads_per_block: int
     blocks_per_sm: int
     scale: float
 
     def label(self) -> str:
-        return (f"{self.device}/{self.kernel}/{self.engine} "
+        return (f"{self.device}/{self.kernel} "
                 f"{self.threads_per_block}x{self.blocks_per_sm} "
                 f"scale={self.scale:g}")
 
@@ -83,7 +79,6 @@ class SweepConfig:
     objective: str
     devices: tuple[str, ...]
     kernels: tuple[str, ...]
-    engines: tuple[str, ...]
     threads_per_block: tuple[int, ...]
     blocks_per_sm: tuple[int, ...]
     scales: tuple[float, ...]
@@ -91,11 +86,10 @@ class SweepConfig:
 
     def points(self) -> list[SweepPoint]:
         """Expand the full grid, in deterministic axis order."""
-        return [SweepPoint(d, k, e, tpb, bps, s)
-                for d, k, e, tpb, bps, s in itertools.product(
-                    self.devices, self.kernels, self.engines,
-                    self.threads_per_block, self.blocks_per_sm,
-                    self.scales)]
+        return [SweepPoint(d, k, tpb, bps, s)
+                for d, k, tpb, bps, s in itertools.product(
+                    self.devices, self.kernels, self.threads_per_block,
+                    self.blocks_per_sm, self.scales)]
 
     def doc(self) -> dict:
         """JSON-ready echo of the config (stamped into tuned.json)."""
@@ -107,7 +101,6 @@ class SweepConfig:
             "grid": {
                 "device": list(self.devices),
                 "kernel": list(self.kernels),
-                "engine": list(self.engines),
                 "threads_per_block": list(self.threads_per_block),
                 "blocks_per_sm": list(self.blocks_per_sm),
                 "scale": list(self.scales),
@@ -120,8 +113,8 @@ class SweepConfig:
 # ---------------------------------------------------------------------- #
 
 _SWEEP_KEYS = ("name", "workload", "seed", "objective")
-_GRID_KEYS = ("device", "kernel", "engine", "threads_per_block",
-              "blocks_per_sm", "scale")
+_GRID_KEYS = ("device", "kernel", "threads_per_block", "blocks_per_sm",
+              "scale")
 _EMIT_KEYS = ("tuned",)
 
 
@@ -300,8 +293,6 @@ def validate_sweep_doc(doc: dict, source: str = "<doc>") -> SweepConfig:
                         tuple(DEVICES), "device")
     kernels = _str_list(grid, "grid", "kernel", ["merge"],
                         SWEEP_KERNELS, "kernel")
-    engines = _str_list(grid, "grid", "engine", ["compacted"],
-                        SWEEP_ENGINES, "engine")
     tpb = _num_list(grid, "grid", "threads_per_block", [64], int)
     bps = _num_list(grid, "grid", "blocks_per_sm", [8], int)
     scales = _num_list(grid, "grid", "scale", [1.0], float)
@@ -317,7 +308,7 @@ def validate_sweep_doc(doc: dict, source: str = "<doc>") -> SweepConfig:
 
     return SweepConfig(name=label, workload=workload, seed=seed,
                        objective=objective, devices=devices, kernels=kernels,
-                       engines=engines, threads_per_block=tpb,
+                       threads_per_block=tpb,
                        blocks_per_sm=bps, scales=scales, emit_tuned=tuned)
 
 

@@ -1,8 +1,7 @@
 """repro.core.intersect — pluggable set-intersection strategies.
 
 The thread-per-edge counting kernels factor into a **driver** (the
-lockstep or compacted host loop in :mod:`repro.core.count_kernel` /
-:mod:`repro.core.count_kernel_compacted`) and a **strategy** — the
+host loop in :mod:`repro.core.count_kernel`) and a **strategy** — the
 per-lane intersection algorithm.  This package owns the strategies:
 
 ========================  ============================================
@@ -11,11 +10,10 @@ per-lane intersection algorithm.  This package owns the strategies:
 ``hash``                  TRUST-style per-vertex bucketed probes
 ========================  ============================================
 
-Every strategy runs on **both** engines with bit-identical counters
-(the driver owns the memory-trace grouping; the strategy owns the
-per-step request multisets) and is registered as a
+The driver owns the memory-trace grouping; the strategy owns the
+per-step request multisets.  Every strategy is registered as a
 :class:`~repro.runtime.spec.KernelSpec` so it is launchable through
-every pipeline, the wallclock bench, the sanitizer matrix, and serve.
+every pipeline, the kernel zoo, the sanitizer matrix, and serve.
 
 See docs/simulator.md ("Intersection strategies") for the contract and
 how to add one.
@@ -30,6 +28,7 @@ from repro.core.intersect.binary_search import (BinarySearchStrategy,
 from repro.core.intersect.hashed import HashStrategy
 from repro.core.intersect.merge import MergeStrategy
 from repro.errors import ReproError
+from repro.gpusim.hostprof import register_subset_phase
 
 #: Registry: strategy name -> singleton instance.
 STRATEGIES: dict[str, IntersectionStrategy] = {}
@@ -37,12 +36,16 @@ STRATEGIES: dict[str, IntersectionStrategy] = {}
 
 def register_strategy(strategy: IntersectionStrategy,
                       ) -> IntersectionStrategy:
-    """Register a strategy instance under its ``name``."""
+    """Register a strategy instance under its ``name`` (its
+    ``step_kind`` becomes a nested host-profile phase)."""
     if not strategy.name:
         raise ReproError("strategy must carry a non-empty name")
     if strategy.name in STRATEGIES:
         raise ReproError(f"strategy {strategy.name!r} already registered")
     STRATEGIES[strategy.name] = strategy
+    # The driver times each step under ``step_kind``, inside the
+    # runtime's ``kernel`` phase.
+    register_subset_phase(strategy.step_kind)
     return strategy
 
 

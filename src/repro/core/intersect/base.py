@@ -3,28 +3,26 @@
 The per-edge work of every thread-per-edge counting kernel factors into
 two pieces:
 
-* a **driver** (lockstep or compacted host loop) that owns the
+* a **driver** (:mod:`repro.core.count_kernel`) that owns the
   grid-stride arc cursor, the warp phase machine, divergence masking,
   retirement/reconvergence, and — crucially — **all step accounting**
-  (``end_step`` / ``end_step_warps`` close every tick the driver runs);
+  (``end_step_warps`` closes every tick the driver runs);
 * a **strategy** that owns the set-intersection itself: which per-lane
   registers exist, what the initial loads are, and what one SIMT step
   of the intersection does to them.
 
 A strategy never talks to the engine directly — every device access
 goes through :class:`StrategyContext`, which binds the engine's read
-path for the driver's execution mode (lockstep ``read`` vs compacted
-``read_compacted``) and hides the AoS/SoA column stride.  Because the
-driver closes each tick with its own accounting call, strategy loads
-are always covered: the simulator invariant "reads are followed by an
-``end_step``" holds by construction of the driver loop, not per call
-site.
+path and hides the AoS/SoA column stride.  Because the driver closes
+each tick with its own accounting call, strategy loads are always
+covered: the simulator invariant "reads are followed by an
+``end_step_warps``" holds by construction of the driver loop, not per
+call site.
 
-Strategies operate on **dense** register vectors: the driver gathers
-the live lanes' registers (views for the compacted pool, copies for the
-lockstep register file), calls :meth:`IntersectionStrategy.step`, and
-scatters results back.  ``step`` mutates the vectors in place and
-returns the lanes still mid-intersection.
+Strategies operate on **dense** register vectors: the driver hands
+over views of its live-lane pool, calls
+:meth:`IntersectionStrategy.step`, and the step mutates the vectors in
+place and returns the lanes still mid-intersection.
 """
 
 from __future__ import annotations
@@ -45,19 +43,17 @@ class StrategyContext:
 
     Built once per kernel launch by
     :meth:`IntersectionStrategy.prepare`; carries the engine handle,
-    the preprocess buffers, the execution-mode read function, and a
-    2·T scratch pair for batched index/lane staging (shared by both
-    drivers so the merge step's read batch is allocation-free).
+    the preprocess buffers, the engine's read function, and a 2·T
+    scratch pair for batched index/lane staging (so the merge step's
+    read batch is allocation-free).
     """
 
     def __init__(self, engine: SimtEngine, pre: PreprocessResult,
-                 options: GpuOptions, memory: DeviceMemory | None,
-                 compacted: bool) -> None:
+                 options: GpuOptions, memory: DeviceMemory | None) -> None:
         self.engine = engine
         self.pre = pre
         self.options = options
         self.memory = memory
-        self.compacted = compacted
         self.unzipped = pre.aos is None
         if self.unzipped:
             self.adj: DeviceBuffer = pre.adj
@@ -65,8 +61,7 @@ class StrategyContext:
         else:
             self.adj = self.keys = pre.aos
         self.node = pre.node
-        self._read: Callable[..., np.ndarray] = (
-            engine.read_compacted if compacted else engine.read)
+        self._read: Callable[..., np.ndarray] = engine.read_compacted
         self._ws_shift = engine.warp_size.bit_length() - 1
         self._num_warps = engine.num_warps
         T = engine.num_threads
@@ -81,7 +76,7 @@ class StrategyContext:
         """Adjacency-content read ``edge[idx]`` (stride-2 under AoS).
 
         Accounting is the calling driver's: the tick this load issues
-        in is closed by the driver's ``end_step``/``end_step_warps``.
+        in is closed by the driver's ``end_step_warps``.
         """
         if self.unzipped:
             return self._read(self.adj, indices, lanes)
@@ -109,14 +104,10 @@ class StrategyContext:
         this for work it runs *outside* the driver loop — the hash
         build pass — where it must do its own warp accounting.
         """
-        if self.compacted:
-            counts = np.bincount(np.asarray(lanes) >> self._ws_shift,
-                                 minlength=self._num_warps)
-            warps = np.flatnonzero(counts)
-            self.engine.end_step_warps(kind, warps, counts[warps],
-                                       instructions)
-        else:
-            self.engine.end_step(kind, lanes, instructions)
+        counts = np.bincount(np.asarray(lanes) >> self._ws_shift,
+                             minlength=self._num_warps)
+        warps = np.flatnonzero(counts)
+        self.engine.end_step_warps(kind, warps, counts[warps], instructions)
 
 
 #: Callback the merge strategy uses for local-triangle accumulation:
@@ -126,7 +117,7 @@ MatchHook = Callable[[np.ndarray, np.ndarray], None]
 
 
 class IntersectionStrategy:
-    """One set-intersection algorithm, pluggable into both drivers.
+    """One set-intersection algorithm, pluggable into the driver.
 
     Class attributes describe the register file and the timing model;
     the three methods are the lifecycle: ``prepare`` once per launch,
@@ -139,8 +130,8 @@ class IntersectionStrategy:
     #: warp-step kind recorded for each intersection step
     #: (``KernelReport.warp_steps`` key and hostprof section).
     step_kind: str = ""
-    #: per-lane register names; the drivers allocate one int64 vector
-    #: (lockstep: full-T array, compacted: pool column) per name.
+    #: per-lane register names; the driver allocates one int64 pool
+    #: column per name.
     registers: tuple[str, ...] = ()
     #: instruction estimate charged per setup tick / per step tick.
     setup_instructions: int = 0
@@ -150,10 +141,10 @@ class IntersectionStrategy:
     supports_per_vertex: bool = False
 
     def prepare(self, engine: SimtEngine, pre: PreprocessResult,
-                options: GpuOptions, memory: DeviceMemory | None,
-                compacted: bool) -> StrategyContext:
+                options: GpuOptions,
+                memory: DeviceMemory | None) -> StrategyContext:
         """Build the launch context (and any device-resident tables)."""
-        return StrategyContext(engine, pre, options, memory, compacted)
+        return StrategyContext(engine, pre, options, memory)
 
     def begin(self, ctx: StrategyContext, lanes: np.ndarray,
               u: np.ndarray, v: np.ndarray,

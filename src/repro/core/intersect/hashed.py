@@ -76,14 +76,14 @@ class HashStrategy(IntersectionStrategy):
     step_instructions = HASH_STEP_INSTRUCTIONS
 
     def prepare(self, engine: SimtEngine, pre: PreprocessResult,
-                options: GpuOptions, memory: DeviceMemory | None,
-                compacted: bool) -> StrategyContext:
+                options: GpuOptions,
+                memory: DeviceMemory | None) -> StrategyContext:
         if memory is None:
             raise ReproError(
                 "the hash kernel builds device-resident bucket tables; "
                 "pass the launch's DeviceMemory through "
                 "dispatch_kernel(..., memory=...)")
-        ctx = StrategyContext(engine, pre, options, memory, compacted)
+        ctx = StrategyContext(engine, pre, options, memory)
 
         # ---- host-side layout (thrust-style orchestration) ---------- #
         n_nodes = pre.num_nodes

@@ -1,7 +1,6 @@
 """The paper's two-pointer merge intersection as a strategy.
 
-This is Section III-C's ``CountTriangles`` inner loop, lifted verbatim
-out of the two engine bodies: compare the heads of both sorted
+This is Section III-C's ``CountTriangles`` inner loop: compare the heads of both sorted
 adjacency lists, count on equality, advance the smaller side(s).  The
 two merge variants (Section III-D3) are carried by the launch options:
 ``preliminary`` re-reads both heads every iteration, ``final`` reads
@@ -9,10 +8,10 @@ only the pointer(s) that advanced — landing one past the end on
 exhausted lists, which the preprocess pad slot absorbs.
 
 Bit-identity contract: the loads this strategy issues — their indices,
-lanes, per-tick grouping and order — are exactly those of the
-pre-refactor kernel bodies, so every cache/coalescing counter pinned in
-``tests/golden_runtime_counters.json`` is unchanged.  Treat any edit
-here as a counter-breaking change.
+lanes, per-tick grouping and order — are the ones
+:mod:`repro.gpusim.reference` re-derives per scalar thread, and every
+cache/coalescing counter pinned in ``tests/golden_runtime_counters.json``
+depends on them.  Treat any edit here as a counter-breaking change.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class MergeStrategy(IntersectionStrategy):
     supports_per_vertex = True
 
     def prepare(self, engine: SimtEngine, pre: PreprocessResult,
-                options: GpuOptions, memory: DeviceMemory | None,
-                compacted: bool) -> StrategyContext:
-        ctx = StrategyContext(engine, pre, options, memory, compacted)
+                options: GpuOptions,
+                memory: DeviceMemory | None) -> StrategyContext:
+        ctx = StrategyContext(engine, pre, options, memory)
         ctx.final_variant = options.merge_variant == "final"
         return ctx
 

@@ -16,8 +16,6 @@ from repro.gpusim.simt import LaunchConfig
 CPU_PREPROCESS_MODES = ("auto", "never", "always")
 #: Valid values for :attr:`GpuOptions.merge_variant`.
 MERGE_VARIANTS = ("final", "preliminary")
-#: Valid values for :attr:`GpuOptions.engine`.
-ENGINES = ("compacted", "lockstep")
 #: Valid values for :attr:`GpuOptions.sanitize`.
 SANITIZE_MODES = ("off", "report", "strict")
 
@@ -86,15 +84,6 @@ class GpuOptions:
         SoA layout); ``"auto"`` lets ``repro.core.autopick`` choose per
         graph from the committed kernelzoo calibration.  The
         ``merge_variant`` knob applies to the merge kernels only.
-    engine : str
-        Host-side execution strategy of the SIMT simulator — a pure
-        wall-clock knob with **no modeled effect**: ``"compacted"``
-        (default) runs the active-set-compacted fast path whose per-tick
-        host work scales with live lanes; ``"lockstep"`` is the original
-        full-grid reference, retained as the equivalence oracle.  Both
-        produce bit-identical counts and :class:`KernelReport` counters
-        (enforced by ``tests/test_engine_equivalence.py``), which is why
-        this field is *excluded* from :meth:`cache_key`.
     sanitize : str
         Dynamic sanitizer layer (``repro.sanitize``): ``"off"``
         (default — zero overhead, a single ``None`` check per engine
@@ -104,7 +93,7 @@ class GpuOptions:
         :mod:`repro.errors` at the first finding).  Identity-preserving
         by contract — the checkers only observe, so
         :class:`KernelReport` counters and results are bit-identical
-        with sanitize on or off; like ``engine``, the field is excluded
+        with sanitize on or off, which is why the field is excluded
         from :meth:`cache_key`.
     """
 
@@ -115,7 +104,6 @@ class GpuOptions:
     launch: LaunchConfig = field(default_factory=LaunchConfig)
     cpu_preprocess: str = "auto"
     kernel: str = "two_pointer"
-    engine: str = "compacted"
     sanitize: str = "off"
 
     def __post_init__(self):
@@ -131,9 +119,6 @@ class GpuOptions:
             raise ReproError(
                 f"kernel must be one of {_kernel_choices()}, "
                 f"got {self.kernel!r}")
-        if self.engine not in ENGINES:
-            raise ReproError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.sanitize not in SANITIZE_MODES:
             raise ReproError(
                 f"sanitize must be one of {SANITIZE_MODES}, "
@@ -157,10 +142,10 @@ class GpuOptions:
         scalars so the key survives pickling and dict/set use regardless
         of how the nested :class:`LaunchConfig` evolves.
 
-        ``engine`` and ``sanitize`` are deliberately absent: both change
-        only how the *host* simulates (speed / checking), never what is
-        simulated, so runs under any combination may share cached
-        preprocessing and memoized results.
+        ``sanitize`` is deliberately absent: it changes only whether
+        the *host* checks the run, never what is simulated, so runs
+        with it on or off may share cached preprocessing and memoized
+        results.
         """
         return ("gpuopts",
                 self.unzip, self.sort_as_u64, self.merge_variant,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.intersect import lower_bound_round
-from repro.core.options import ENGINES, GpuOptions
 from repro.core.preprocess import PreprocessResult
 from repro.errors import ReproError
 from repro.gpusim.memory import DeviceBuffer
@@ -56,19 +55,11 @@ def warp_intersect_kernel(engine: SimtEngine,
                           lo: int = 0,
                           hi: int | None = None,
                           result_buf: DeviceBuffer | None = None,
-                          options: GpuOptions | None = None,
                           ) -> WarpIntersectResult:
     """Count triangles with warp-per-edge parallel intersections.
 
     Only the unzipped (SoA) layout is supported — the strategy's chunk
     gathers assume contiguous columns.
-
-    ``options.engine`` selects the host execution path exactly as in
-    :func:`~repro.core.count_kernel.count_triangles_kernel`: the default
-    "compacted" routes reads through the engine's fused fast path and
-    feeds accounting the per-warp lane counts this kernel already
-    tracks; "lockstep" keeps the reference path.  Both produce
-    bit-identical counters (``tests/test_engine_equivalence.py``).
     """
     if pre.aos is not None:
         raise ReproError("warp_intersect_kernel requires the SoA layout "
@@ -79,21 +70,20 @@ def warp_intersect_kernel(engine: SimtEngine,
     if not (0 <= lo <= hi <= m):
         raise ReproError(f"arc range [{lo}, {hi}) outside [0, {m})")
 
-    engine_name = (options or GpuOptions()).engine
-    if engine_name not in ENGINES:
-        # Never a silent fallback: duck-typed options with a bad engine
-        # string get the same typed error GpuOptions raises eagerly.
-        raise ReproError(
-            f"engine must be one of {ENGINES}, got {engine_name!r}")
-    compacted = engine_name == "compacted"
-    read = engine.read_compacted if compacted else engine.read
+    read = engine.read_compacted
 
     T = engine.num_threads
     ws = engine.warp_size
+    ws_shift = ws.bit_length() - 1    # warp sizes divide 32: always pow2
     W = engine.num_warps
     tid = np.arange(T, dtype=np.int64)
-    lane_of = tid % ws
     warp_of = tid // ws
+
+    def account(kind: str, lanes: np.ndarray, instructions: int) -> None:
+        """Close a tick whose live lanes are known only lane by lane."""
+        counts = np.bincount(lanes >> ws_shift, minlength=W)
+        warps = np.flatnonzero(counts)
+        engine.end_step_warps(kind, warps, counts[warps], instructions)
 
     # Per-warp state (one edge per warp).
     cur = lo + np.arange(W, dtype=np.int64)
@@ -135,13 +125,9 @@ def warp_intersect_kernel(engine: SimtEngine,
                 long_lo[w_ids] = np.where(u_short, vlo, ulo)
                 long_hi[w_ids] = np.where(u_short, vhi_, uhi_)
                 chunk[w_ids] = 0
-                if compacted:
-                    # One leader lane per distinct warp — counts known.
-                    engine.end_step_warps("setup", w_ids,
-                                          np.ones(k, np.int64),
-                                          SETUP_INSTRUCTIONS)
-                else:
-                    engine.end_step("setup", leaders, SETUP_INSTRUCTIONS)
+                # One leader lane per distinct warp — counts known.
+                engine.end_step_warps("setup", w_ids, np.ones(k, np.int64),
+                                      SETUP_INSTRUCTIONS)
             has_edge = loading & (cur < hi)
             phase[has_edge] = _CHUNK
             phase[loading & ~has_edge] = _DONE
@@ -164,14 +150,10 @@ def warp_intersect_kernel(engine: SimtEngine,
             lanes = lanes_2d[valid]
             idx = elem_idx[valid]
             targets = read(adj, idx, lanes).astype(np.int64)
-            if compacted:
-                # Every chunking warp has >= 1 valid lane (exhausted
-                # warps left _CHUNK), so ``w_ids`` are the warps.
-                engine.end_step_warps("chunk", w_ids,
-                                      valid.sum(axis=1),
-                                      CHUNK_INSTRUCTIONS)
-            else:
-                engine.end_step("chunk", lanes, CHUNK_INSTRUCTIONS)
+            # Every chunking warp has >= 1 valid lane (exhausted warps
+            # left _CHUNK), so ``w_ids`` are the warps.
+            engine.end_step_warps("chunk", w_ids, valid.sum(axis=1),
+                                  CHUNK_INSTRUCTIONS)
 
             # Vectorized per-lane binary search in the longer list —
             # the same lower-bound rounds as the binary_search
@@ -189,7 +171,7 @@ def warp_intersect_kernel(engine: SimtEngine,
                 if not len(act):
                     break
                 probes += len(act)
-                engine.end_step("search", lanes[act], SEARCH_INSTRUCTIONS)
+                account("search", lanes[act], SEARCH_INSTRUCTIONS)
             # Found iff the insertion point holds the target.
             in_range = s_lo < long_hi[warp_of[lanes]]
             found = np.zeros(len(lanes), bool)
@@ -198,8 +180,7 @@ def warp_intersect_kernel(engine: SimtEngine,
                 vals = read(adj, probe_idx, lanes[in_range])
                 found[in_range] = vals.astype(np.int64) == targets[in_range]
                 probes += int(in_range.sum())
-                engine.end_step("search", lanes[in_range],
-                                SEARCH_INSTRUCTIONS)
+                account("search", lanes[in_range], SEARCH_INSTRUCTIONS)
             np.add.at(count, lanes[found], np.uint64(1))
 
             # Advance: next chunk, or next edge when the list is done.

@@ -13,6 +13,9 @@ hardware with a warp-lockstep SIMT simulator (see DESIGN.md §2):
   coalescing, which together produce the Table II counters;
 * :mod:`~repro.gpusim.simt` — the lockstep execution engine kernels run
   on, with divergence and instruction accounting;
+* :mod:`~repro.gpusim.reference` — a scalar, one-thread-at-a-time
+  re-execution of the merge kernel and its memory model: the oracle the
+  tests hold the engine's counters to;
 * :mod:`~repro.gpusim.thrustlike` — functional equivalents of the Thrust
   primitives the preprocessing phase uses, with pass-based cost models;
 * :mod:`~repro.gpusim.timing` — conversion of measured work into

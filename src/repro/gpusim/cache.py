@@ -3,18 +3,26 @@
 One :class:`CacheArray` holds *many independent cache instances* in a
 single set of NumPy arrays — e.g. the per-SM read-only caches of a whole
 GPU (16 instances on the GTX 980), or a single device-wide L2.  The SIMT
-engine feeds it batches of (instance, line-address) accesses once per
-lockstep step; probe and LRU update are fully vectorized.
+engine probes it once per memory request batch (one
+:meth:`~repro.gpusim.simt.SimtEngine.read_compacted` call) with the
+batch's distinct (set, line) pairs; probe and LRU update are fully
+vectorized.
 
-Semantics within one batch (one kernel step):
+Semantics within one batch:
 
-* duplicate (instance, line) pairs collapse to one probe; the extras are
-  counted as hits — this mirrors MSHR merging on real hardware, where
-  concurrent misses to one line produce a single fill;
-* distinct missing lines that collide in one set are all inserted,
-  evicting in LRU order (if more collide than there are ways, the
+* duplicate (instance, line) requests collapse to one probe; the engine
+  counts the extras as hits — this mirrors MSHR merging on real
+  hardware, where concurrent misses to one line produce a single fill;
+* every hit is resolved against the state *before* the batch and
+  becomes most recently used;
+* distinct missing lines that collide in one set are all inserted, in
+  ascending line order, each taking the set's least recently used way
+  (ties to the lowest way); if more collide than there are ways, the
   earliest inserted are immediately evicted — exactly what a sequential
-  processing order would do).
+  processing order would do.
+
+:mod:`repro.gpusim.reference` restates these rules as a scalar
+per-request model; the tests hold the two equal.
 
 The hit/miss counters here are the source of the Table II "cache hit
 rate" column; the miss count × line size is the DRAM traffic behind the
@@ -50,43 +58,6 @@ class CacheStats:
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
         self.misses += other.misses
-
-
-def _unique_pairs(set_idx: np.ndarray, lines: np.ndarray):
-    """Deduplicate (set, line) pairs exactly.
-
-    Returns ``(n_uniq, first_pos, inverse)`` matching what
-    ``np.unique(key, return_index=True, return_inverse=True)`` would give
-    for an exact, order-preserving packing of the pair: ``first_pos``
-    holds the earliest request index of each distinct pair, ``inverse``
-    maps every request to its pair's rank in (set, line) order.
-
-    Fast path: pack as ``set_idx * span + line`` when the product
-    provably fits in an int64 (true for any real device address space).
-    Otherwise fall back to a stable lexsort on the raw pair — identical
-    ordering and representatives, no aliasing for any input.
-    """
-    lo = int(lines.min())
-    span = int(lines.max()) + 1
-    if lo >= 0 and span < (1 << 62) // max(int(set_idx.max()) + 1, 1):
-        key = set_idx * span + lines
-        uniq, first_pos, inverse = np.unique(key, return_index=True,
-                                             return_inverse=True)
-        return len(uniq), first_pos, inverse
-    order = np.lexsort((lines, set_idx))
-    s_sorted = set_idx[order]
-    l_sorted = lines[order]
-    new_group = np.empty(len(order), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = ((s_sorted[1:] != s_sorted[:-1]) |
-                     (l_sorted[1:] != l_sorted[:-1]))
-    group_id = np.cumsum(new_group) - 1
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = group_id
-    # lexsort is stable, so the first element of each group is the
-    # earliest original occurrence — same representative np.unique picks.
-    first_pos = order[new_group]
-    return int(group_id[-1]) + 1, first_pos, inverse
 
 
 class CacheArray:
@@ -165,114 +136,29 @@ class CacheArray:
         self._clock = 1
         self.stats = CacheStats()
 
-    def access(self, instance_ids: np.ndarray, byte_addrs: np.ndarray) -> np.ndarray:
-        """Probe a batch of reads; returns a per-request boolean hit mask.
-
-        ``instance_ids`` selects the cache instance (e.g. SM id); both
-        arrays must be equal length.  Misses insert the line.
-        """
-        if len(instance_ids) != len(byte_addrs):
-            raise ReproError("instance_ids and byte_addrs length mismatch")
-        if len(byte_addrs) == 0:
-            return np.zeros(0, dtype=bool)
-
-        lines = byte_addrs.astype(np.int64) // self.line_bytes
-        self._ensure_tag_range(int(lines.max()))
-        set_idx = (lines % self.sets) + instance_ids.astype(np.int64) * self.sets
-
-        # Collapse duplicates (MSHR merge): probe each (set, line) *pair*
-        # once.  The set index alone does not identify a line, so the
-        # pair is packed exactly — ``set_idx * span + line`` with
-        # ``span > max line`` — which keeps unique keys ordered by
-        # (set, line).  Line ids outside the validated packing bound
-        # (possible only with pathological synthetic addresses) take a
-        # stable lexsort path with identical semantics.
-        n_uniq, first_pos, inverse = _unique_pairs(set_idx, lines)
-        u_set = set_idx[first_pos]
-        u_line = lines[first_pos]
-
-        gathered = self._tags[u_set]                       # (U, ways)
-        match = gathered == u_line[:, None]
-        hit = match.any(axis=1)
-
-        now = self._clock
-        self._clock += n_uniq + 1
-
-        if hit.any():
-            hit_sets = u_set[hit]
-            hit_ways = np.argmax(match[hit], axis=1)
-            self._stamp[hit_sets, hit_ways] = now
-
-        miss = ~hit
-        if miss.any():
-            miss_sets = u_set[miss]
-            miss_lines = u_line[miss]
-            # Group same-set misses: within one batch each gets its own
-            # victim way, chosen in LRU order.
-            order = np.argsort(miss_sets, kind="stable")
-            ms = miss_sets[order]
-            ml = miss_lines[order]
-            group_start = np.concatenate([[True], ms[1:] != ms[:-1]])
-            # rank of each miss within its set group (0, 1, 2, ...)
-            idx = np.arange(len(ms))
-            start_idx = np.maximum.accumulate(np.where(group_start, idx, 0))
-            rank = idx - start_idx
-            # Victim = LRU way.  Rank-0 misses (the vast majority — a set
-            # rarely takes two distinct new lines in one step) need only
-            # an argmin; higher ranks get the full LRU ordering.
-            stamps = self._stamp[ms]
-            victim_way = np.argmin(stamps, axis=1)
-            multi = rank > 0
-            if multi.any():
-                rows = np.flatnonzero(multi)
-                order_rows = np.argsort(stamps[rows], axis=1, kind="stable")
-                victim_way[rows] = order_rows[np.arange(len(rows)),
-                                              rank[rows] % self.ways]
-            self._tags[ms, victim_way] = ml
-            self._stamp[ms, victim_way] = now + 1 + rank
-
-        # Per-request result: duplicates of a probed line count as hits.
-        result = hit[inverse]
-        dup = np.ones(len(set_idx), dtype=bool)
-        dup[first_pos] = False
-        result = result | dup
-
-        self.stats.hits += int(result.sum())
-        self.stats.misses += int((~result).sum())
-        return result
-
     def probe_unique(self, u_set: np.ndarray, u_line: np.ndarray,
                      extra_hits: int = 0) -> np.ndarray:
         """Probe/update for a batch already deduplicated to distinct
         (set, line) pairs; returns the per-pair hit mask.
 
-        The compacted engine's fast re-implementation of the state
-        machine inside :meth:`access` — deliberately a *separate* code
-        path so the lockstep oracle keeps exercising the reference
-        implementation; ``tests/test_cache.py`` and the engine
-        equivalence suite pin the two to identical state evolution.
+        ``u_set`` is the flattened set index (``instance * sets + line %
+        sets``).  Semantics are those of the module docstring, and are
+        *order-independent* as long as, within each set, distinct lines
+        appear in ascending order (a sort by line satisfies this) —
+        victim choice and stamps depend only on that within-set order.
+        The implementation is tiered by batch size:
 
-        Semantics are those of :meth:`access` after its dedupe step, and
-        are *order-independent* as long as, within each set, distinct
-        lines appear in ascending order (both the sorted packed-key
-        order :meth:`access` uses and a plain sort by line satisfy
-        this) — victim choice and stamps depend only on that within-set
-        order.  Two wins over the reference:
-
-        * the hit way falls out of one ``argmax`` + flat gather instead
-          of a mask reduction plus a re-gathered ``argmax``;
-        * the LRU ordering of the miss path is computed once per
-          *affected set* — bounded by cache geometry, a few hundred —
-          instead of once per missing request, which turns the batch
-          miss storm's big ``(misses, ways)`` stable argsort into a
-          small ``(sets, ways)`` one;
-        * the set-grouping sort runs on ``uint16`` keys (NumPy's stable
-          sort is a radix sort only at <= 16 bits), and the 2-D
-          gather/scatter pairs go through flattened indices.
+        * a one-pair probe (ubiquitous in skewed tails) runs on Python
+          lists of ``ways`` elements;
+        * up to six pairs run the same phases on Python scalars;
+        * larger batches find the hit way with one ``argmax`` + flat
+          gather, and compute the LRU ordering of the miss path once per
+          *affected set* — bounded by cache geometry — instead of once
+          per missing request; the set-grouping sort runs on ``uint16``
+          keys (NumPy's stable sort is a radix sort only at <= 16 bits).
 
         ``extra_hits`` is the number of duplicate requests that were
-        collapsed away (MSHR merges); they count as hits in the stats,
-        exactly as :meth:`access` counts them.
+        collapsed away (MSHR merges); they count as hits in the stats.
         """
         n_uniq = len(u_set)
         if n_uniq == 1:
@@ -303,6 +189,9 @@ class CacheArray:
             # below (all hits resolved against the pre-probe state, then
             # misses filled in stable set order), but on Python scalars —
             # a handful of list ops beats ~25 vector dispatches.
+            if not n_uniq:
+                self.stats.hits += extra_hits
+                return np.zeros(0, dtype=bool)
             self._ensure_tag_range(int(u_line.max()))
             now = self._clock
             self._clock += n_uniq + 1
@@ -395,8 +284,7 @@ class CacheArray:
                 rank = np.arange(k)
                 rank -= starts[gid]
                 # LRU order per *affected set* (hits above already
-                # stamped ``now``, so they rank most-recent, exactly as
-                # in the reference).
+                # stamped ``now``, so they rank most recent).
                 lru = np.argsort(self._stamp[ms[starts]], axis=1,
                                  kind="stable")           # (G, ways)
                 wrapped = (rank & (self.ways - 1) if not (self.ways &

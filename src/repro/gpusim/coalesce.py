@@ -18,7 +18,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CoalescedBatch:
-    """One lockstep step's memory requests after per-warp merging.
+    """One request batch after per-warp merging.
 
     Attributes
     ----------

@@ -11,18 +11,20 @@ per-phase wall-clock in the unified vocabulary every pipeline shares
   structures, the kernel body, the reduce + result readback, and the
   teardown sweep.  These are the comparable numbers — ``==SERVE==``
   sheets and bench phase totals mean the same thing for every kernel;
-* ``setup`` / ``merge`` (and the warp-intersect kernel's ``chunk``) —
-  the kernel tick sections, subsets of ``kernel``;
-* ``cache-model`` — :meth:`SimtEngine.read`/``write``/``atomic_add``
-  (address math, coalescing, cache probes), a subset of the above;
-* ``accounting`` — :meth:`SimtEngine.end_step` bookkeeping, also a
-  subset of the kernel sections.
+* ``setup`` and each intersection strategy's ``step_kind`` (``merge``,
+  ``search``, ``probe``) — the kernel tick sections, subsets of
+  ``kernel``;
+* ``cache-model`` — :meth:`SimtEngine.read_compacted`/``write``/
+  ``atomic_add`` (address math, coalescing, cache probes), a subset of
+  the above;
+* ``accounting`` — :meth:`SimtEngine.end_step_warps` bookkeeping, also
+  a subset of the kernel sections.
 
 Profiling is opt-in and ambient: ``install_host_profiler`` (or the
 ``host_profiling()`` context manager) makes every subsequently
 constructed :class:`~repro.gpusim.simt.SimtEngine` record into the
-installed profiler, so whole-replay aggregation (``repro-bench serve``,
-the wall-clock harness) needs no plumbing through the call stack.  When
+installed profiler, so whole-replay aggregation (``repro-bench serve``)
+needs no plumbing through the call stack.  When
 nothing is installed the hot paths pay a single ``None`` check.
 """
 
@@ -81,9 +83,16 @@ class HostProfiler:
 #: Phases measured *inside* another phase (double counted by a naive
 #: sum, hence excluded from :attr:`HostProfiler.total_seconds`): the
 #: kernel tick sections nest inside the runtime's ``kernel`` phase, and
-#: the engine subsets nest inside the tick sections.
-_SUBSET_PHASES = frozenset({"setup", "merge", "chunk",
-                            "cache-model", "accounting"})
+#: the engine subsets nest inside the tick sections.  The step sections
+#: are named by the intersection strategies, which register them here
+#: (:func:`register_subset_phase`) when they register themselves.
+_SUBSET_PHASES = {"setup", "cache-model", "accounting"}
+
+
+def register_subset_phase(name: str) -> None:
+    """Mark phase ``name`` as nested inside another phase."""
+    _SUBSET_PHASES.add(name)
+
 
 _installed: HostProfiler | None = None
 

@@ -7,9 +7,9 @@ together under an active mask; a warp leaves a divergent loop only when
 effect the paper's Section III-D5 warp-size experiment manipulates.
 
 Kernels are written *vectorized over warps*: per-lane state lives in
-NumPy arrays indexed by global lane id, and one engine "tick" advances
-every live warp by one warp-instruction-block (a merge-loop iteration,
-an edge-setup block, ...).  The engine is responsible for
+NumPy arrays, and one engine "tick" advances every live warp by one
+warp-instruction-block (a merge-loop iteration, an edge-setup block,
+...).  The engine is responsible for
 
 * memory: index → device byte address → per-warp coalescing →
   per-SM read-only cache → device L2 → DRAM byte counting,
@@ -164,9 +164,10 @@ class KernelReport:
     def counters(self) -> dict:
         """Every modeled counter as plain comparable values.
 
-        This is the byte-identity surface the compacted engine is held
-        to: two executions are equivalent iff their ``counters()`` dicts
-        are equal (see ``tests/test_engine_equivalence.py``).
+        This is the byte-identity surface the engine is held to against
+        the scalar reference executor (:mod:`repro.gpusim.reference`)
+        and the committed golden cells: two executions are equivalent
+        iff their ``counters()`` dicts are equal.
         """
         sm_slots = (tuple(int(s) for s in self.sm_instruction_slots)
                     if self.sm_instruction_slots is not None else None)
@@ -235,7 +236,7 @@ class SimtEngine:
                              device.l2_ways)
         self.report = KernelReport(device=device, launch=launch)
         self.report.sm_instruction_slots = np.zeros(device.num_sms, dtype=np.int64)
-        # Packed-key geometry for the compacted fast path: one sorted
+        # Packed-key geometry for :meth:`read_compacted`: one sorted
         # int64 key (line, sm, warp) yields coalescing, L1 dedupe and
         # L2 dedupe in a single pass.  ``_smw[w]`` packs a warp's
         # (sm, warp) low bits so key construction is one gather + add.
@@ -268,66 +269,23 @@ class SimtEngine:
     # memory
     # ------------------------------------------------------------------ #
 
-    def read(self, buf: DeviceBuffer, indices: np.ndarray,
-             thread_ids: np.ndarray) -> np.ndarray:
+    def read_compacted(self, buf: DeviceBuffer, indices: np.ndarray,
+                       thread_ids: np.ndarray) -> np.ndarray:
         """Lane-level gather ``buf.data[indices]`` with full memory modelling.
 
         ``thread_ids`` are the global lane ids issuing each read (same
         length as ``indices``).  Returns the gathered values.
-        """
-        indices = np.asarray(indices)
-        if len(indices) == 0:
-            return buf.data[indices]
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
-        if self.sanitizer is not None:
-            indices = self.sanitizer.on_access(buf, indices, thread_ids,
-                                               "read")
-        else:
-            lo = int(indices.min())
-            hi = int(indices.max())
-            if lo < 0 or hi >= len(buf.data):
-                raise KernelFault(
-                    f"out-of-bounds read from {buf.name!r}: index range "
-                    f"[{lo}, {hi}] outside [0, {len(buf.data)})")
-        values = buf.data[indices]
 
-        addrs = buf.addresses(indices)
-        warp_ids = np.asarray(thread_ids) // self.warp_size
-        self.report.lane_reads += len(indices)
-
-        if self.l1 is not None:
-            batch = coalesce(warp_ids, addrs, self.device.line_bytes)
-            self.report.transactions += batch.transactions
-            sm_ids = self.warp_sm[batch.warp_ids]
-            hits = self.l1.access(sm_ids, batch.line_addrs)
-            self.report.l1_hits += int(hits.sum())
-            n_miss = int((~hits).sum())
-            self.report.l1_misses += n_miss
-            if n_miss:
-                miss_lines = batch.line_addrs[~hits]
-                self._probe_l2(miss_lines, self.device.line_bytes)
-        else:
-            # Uncached global loads: sector-granular, straight to L2.
-            batch = coalesce(warp_ids, addrs, self.device.sector_bytes)
-            self.report.transactions += batch.transactions
-            self._probe_l2(batch.line_addrs, self.device.sector_bytes)
-        if prof is not None:
-            prof.add("cache-model", perf_counter() - t0)
-        return values
-
-    def read_compacted(self, buf: DeviceBuffer, indices: np.ndarray,
-                       thread_ids: np.ndarray) -> np.ndarray:
-        """:meth:`read` with the whole memory-model chain fused.
-
-        Byte-identical counters and cache-state evolution, a fraction of
-        the host cost: coalescing, L1 set mapping and L2 probing collapse
-        into packed-key ``np.unique`` calls (no per-request index/inverse
-        reconstruction — the engine only needs hit *counts* and the
-        missing lines), with no intermediate batch objects.  Because
-        every stage is order-independent over the request multiset, the
-        caller may present lanes in any order — which is what lets the
-        compacted kernels keep their registers in worklist order.
+        One call is one batch of concurrent requests: distinct
+        (warp, line) pairs are the transactions; distinct (SM, line)
+        pairs probe the per-SM cache, and duplicates across warps of
+        one SM count as hits (MSHR merging); L1 misses are deduplicated
+        across SMs before they probe L2.  Uncached loads (no L1) go to
+        L2 at sector granularity.  The whole chain is fused into one
+        packed-key sort plus boundary passes, and every stage is
+        order-independent over the request multiset, so the caller may
+        present lanes in any order — which is what lets the driver keep
+        its registers in worklist order.
         """
         indices = np.asarray(indices)
         n = len(indices)
@@ -500,16 +458,6 @@ class SimtEngine:
                 rep.dram_bytes += sb
             rep.l2_bytes += sb
 
-    def _probe_l2(self, line_addrs: np.ndarray, fill_bytes: int) -> None:
-        zeros = np.zeros(len(line_addrs), dtype=np.int64)
-        l2_hits = self.l2.access(zeros, line_addrs)
-        n_hit = int(l2_hits.sum())
-        n_miss = len(line_addrs) - n_hit
-        self.report.l2_hits += n_hit
-        self.report.l2_misses += n_miss
-        self.report.l2_bytes += len(line_addrs) * fill_bytes
-        self.report.dram_bytes += n_miss * fill_bytes
-
     def write(self, buf: DeviceBuffer, indices: np.ndarray,
               values: np.ndarray, thread_ids: np.ndarray) -> None:
         """Lane-level scatter; write traffic counts as DRAM bytes
@@ -581,46 +529,17 @@ class SimtEngine:
     # execution accounting
     # ------------------------------------------------------------------ #
 
-    def end_step(self, kind: str, active_thread_ids: np.ndarray,
-                 instructions: int) -> None:
-        """Account one instruction-block executed by the warps owning
-        ``active_thread_ids`` (the lanes that were live in the block).
-
-        ``instructions`` is the warp-instruction count of the block —
-        every owning warp issues that many instructions regardless of how
-        many of its lanes are active (that's SIMT divergence).
-        """
-        if len(active_thread_ids) == 0:
-            return
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
-        w = np.asarray(active_thread_ids) // self.warp_size
-        if len(w) > 1 and np.any(w[1:] < w[:-1]):
-            w = np.sort(w)
-        # w is now non-decreasing: run boundaries replace np.unique.
-        starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
-        warp_ids = w[starts]
-        lane_counts = np.diff(np.concatenate((starts, [len(w)])))
-        n_warps = len(warp_ids)
-        rep = self.report
-        rep.warp_steps[kind] = rep.warp_steps.get(kind, 0) + n_warps
-        rep.instruction_slots += n_warps * instructions
-        rep.total_warp_steps += n_warps
-        rep.active_lane_sum += int(lane_counts.sum())
-        np.add.at(rep.sm_instruction_slots, self.warp_sm[warp_ids], instructions)
-        if self.sanitizer is not None:
-            self.sanitizer.on_step_end(kind)
-        if prof is not None:
-            prof.add("accounting", perf_counter() - t0)
-
     def end_step_warps(self, kind: str, warp_ids: np.ndarray,
                        lane_counts: np.ndarray, instructions: int) -> None:
-        """:meth:`end_step` for callers that already know the warps.
+        """Account one instruction-block executed by ``warp_ids``.
 
         ``warp_ids`` must be *distinct* warps; ``lane_counts`` their
-        active-lane counts.  The compacted engine tracks both directly
-        in its worklist, so the per-call lane → warp derivation (sort +
-        run-length pass) is skipped.  Accounting is identical.
+        active-lane counts (the lanes that were live in the block).
+        ``instructions`` is the warp-instruction count of the block —
+        every listed warp issues that many instructions regardless of
+        how many of its lanes are active (that's SIMT divergence).
+        Callers that only know the live lanes derive both with
+        ``np.bincount(lanes >> warp_shift)``.
         """
         n_warps = len(warp_ids)
         if n_warps == 0:

@@ -1,7 +1,7 @@
 """repro.runtime — the unified kernel runtime.
 
 One launch protocol for every counting kernel: kernels are registered
-as :class:`KernelSpec`\\ s (name, per-engine bodies, buffer facts) and
+as :class:`KernelSpec`\\ s (name, host body, buffer facts) and
 every pipeline goes through :func:`launch`, which owns device
 allocation, H2D/D2H transfer events on a :class:`StreamTimeline`,
 engine construction from :class:`~repro.core.options.GpuOptions`,

@@ -6,8 +6,8 @@ now live here, written once, in the order that keeps results and every
 historical pipelines (device addresses feed the cache model, so even
 *allocation order* is part of the contract):
 
-1. validate the plan (memory/device match, engine choice — eagerly,
-   with typed errors naming the valid values);
+1. validate the plan (memory/device match, layout — eagerly, with
+   typed errors);
 2. attach the sanitizer to :class:`~repro.gpusim.memory.DeviceMemory`
    *before* the first allocation (initcheck must see every buffer);
 3. construct the :class:`~repro.gpusim.simt.SimtEngine` from
@@ -18,8 +18,8 @@ historical pipelines (device addresses feed the cache model, so even
    per-vertex accumulator for ``per_vertex`` specs;
 5. run preprocessing (H2D copy events land on the stream timeline)
    unless the plan supplies device-resident structures;
-6. dispatch the kernel body for ``options.engine``, time it with the
-   roofline model, and record the kernel event;
+6. dispatch the kernel body, time it with the roofline model, and
+   record the kernel event;
 7. device-reduce the result buffer, cross-check against the kernel's
    own count, and record the D2H readback event(s);
 8. free device memory and detach the sanitizer (always, via finally).
@@ -57,8 +57,9 @@ if TYPE_CHECKING:
     from repro.sanitize import Sanitizer
 
 #: The unified hostprof phase vocabulary (see module docstring).  The
-#: kernel-tick sections (``setup``/``merge``/``chunk``) and the engine
-#: subsets (``cache-model``/``accounting``) nest inside ``kernel``.
+#: kernel-tick sections (``setup`` and each strategy's ``step_kind``)
+#: and the engine subsets (``cache-model``/``accounting``) nest inside
+#: ``kernel``.
 PHASE_H2D = "h2d"
 PHASE_KERNEL = "kernel"
 PHASE_D2H = "d2h"
@@ -86,24 +87,19 @@ def dispatch_kernel(kernel: KernelSpec | str, engine: SimtEngine,
                     per_vertex_buf: DeviceBuffer | None = None,
                     memory: DeviceMemory | None = None) -> KernelResult:
     """Run one kernel body on an already-built engine (the inner step of
-    :func:`launch`; the wall-clock bench times exactly this).
-
-    Selects the body for ``options.engine`` via
-    :meth:`KernelSpec.body_for` — an unknown engine string is a typed
-    error naming the valid choices, never a silent fallback.
+    :func:`launch`).
 
     ``memory`` is the launch's allocator, forwarded to bodies whose
     strategy builds device-resident tables (the ``hash`` kernel); those
     bodies raise a typed error without it.
     """
     spec = resolve_kernel(kernel)
-    body = spec.body_for(options.engine)
     prof = current_host_profiler()
     t0 = perf_counter() if prof is not None else 0.0
-    result: KernelResult = body(engine, pre, options, lo=lo, hi=hi,
-                                result_buf=result_buf,
-                                per_vertex_buf=per_vertex_buf,
-                                memory=memory)
+    result: KernelResult = spec.body(engine, pre, options, lo=lo, hi=hi,
+                                     result_buf=result_buf,
+                                     per_vertex_buf=per_vertex_buf,
+                                     memory=memory)
     if prof is not None:
         prof.add(PHASE_KERNEL, perf_counter() - t0)
     return result
@@ -187,7 +183,6 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
     the lifecycle and its ordering constraints)."""
     spec = resolve_kernel(plan.kernel)
     options = plan.options
-    spec.body_for(options.engine)   # eager engine validation
     device = plan.device
     memory = plan.memory if plan.memory is not None else DeviceMemory(device)
     if memory.spec.name != device.name:

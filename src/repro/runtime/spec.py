@@ -1,10 +1,9 @@
 """``KernelSpec`` — the declarative contract every counting kernel meets.
 
 A kernel, to the runtime, is: a registry name, a display label for the
-simulated timeline, one host *body* per execution engine, two
-buffer-shape facts (does it need the SoA layout, does it accumulate a
-per-vertex array), and the ``GpuOptions.kernel`` value that selects it
-in the pipelines.  Everything else — device allocation, H2D/D2H
+simulated timeline, one host *body*, two buffer-shape facts (does it
+need the SoA layout, does it accumulate a per-vertex array), and the
+``GpuOptions.kernel`` value that selects it in the pipelines.  Everything else — device allocation, H2D/D2H
 transfer events, engine construction, sanitizer wiring, hostprof
 phases, report/timeline assembly — is owned by
 :func:`repro.runtime.launch` and written exactly once.
@@ -12,11 +11,11 @@ phases, report/timeline assembly — is owned by
 Kernel authors add a strategy by writing the body (a function of
 ``(engine, pre, options, *, lo, hi, result_buf, per_vertex_buf,
 memory)``) and registering a spec; every pipeline (single-GPU,
-local-counts, multi-GPU, serving, the wall-clock bench) can then
+local-counts, multi-GPU, serving, the kernel zoo) can then
 launch it with no new harness code.  For thread-per-edge intersection
 kernels there is no new body to write at all: implement one
 :class:`~repro.core.intersect.IntersectionStrategy` and register a
-spec over the shared drivers (see the ``binary_search`` / ``hash``
+spec over the shared driver (see the ``binary_search`` / ``hash``
 registrations below and ``docs/architecture.md``).
 
 The registry is also the **single source of truth for kernel names**:
@@ -28,7 +27,7 @@ one spec — not a spec plus an options-module edit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -61,13 +60,11 @@ class KernelSpec:
     Attributes
     ----------
     name : str
-        Registry key (``repro-bench wallclock --kernel <name>``).
+        Registry key (``LaunchPlan(kernel=<name>)``).
     display_name : str
         Timeline event label of the launch (e.g. ``"CountTriangles"``).
-    bodies : mapping engine-name -> body
-        One host execution body per :data:`repro.core.options.ENGINES`
-        entry it supports; all bodies of a spec are bit-identical in
-        results and :class:`~repro.gpusim.simt.KernelReport` counters.
+    body : callable
+        The host execution body (see :data:`KernelBody`).
     requires_soa : bool
         The body assumes unzipped (SoA) columns; launching against an
         AoS layout is a typed error instead of wrong counters.
@@ -84,20 +81,10 @@ class KernelSpec:
 
     name: str
     display_name: str
-    bodies: Mapping[str, KernelBody] = field(repr=False)
+    body: KernelBody = field(repr=False)
     requires_soa: bool = False
     per_vertex: bool = False
     option_field: str | None = None
-
-    def body_for(self, engine: str) -> KernelBody:
-        """The host body for ``engine``, or a typed error naming the
-        valid choices — never a silent fallback."""
-        body = self.bodies.get(engine)
-        if body is None:
-            raise ReproError(
-                f"kernel {self.name!r} has no body for engine "
-                f"{engine!r}; valid engines: {tuple(sorted(self.bodies))}")
-        return body
 
 
 _REGISTRY: dict[str, KernelSpec] = {}
@@ -191,10 +178,10 @@ def spec_for_options(options: GpuOptions, per_vertex: bool = False) -> KernelSpe
         f"valid: {kernel_option_fields() + ('auto',)}")
 
 
-def _count_body(engine_name: str, option_field: str) -> KernelBody:
-    """A thread-per-edge driver body bound to one engine + one strategy.
+def _count_body(option_field: str) -> KernelBody:
+    """The thread-per-edge driver body bound to one strategy.
 
-    The drivers resolve the strategy from ``options.kernel``; the bound
+    The driver resolves the strategy from ``options.kernel``; the bound
     check here turns a spec/options mismatch (e.g. dispatching the
     ``binary_search`` spec with merge options) into a typed error
     instead of silently running the wrong algorithm.
@@ -210,15 +197,10 @@ def _count_body(engine_name: str, option_field: str) -> KernelBody:
                 f"this kernel spec runs GpuOptions.kernel="
                 f"{option_field!r}, got {options.kernel!r} — dispatch "
                 "through spec_for_options or fix the options")
-        if engine_name == "lockstep":
-            from repro.core.count_kernel import count_triangles_lockstep
-            fn = count_triangles_lockstep
-        else:
-            from repro.core.count_kernel_compacted import \
-                count_triangles_compacted
-            fn = count_triangles_compacted
-        return fn(engine, pre, options, lo=lo, hi=hi, result_buf=result_buf,
-                  per_vertex_buf=per_vertex_buf, memory=memory)
+        from repro.core.count_kernel import count_triangles_kernel
+        return count_triangles_kernel(
+            engine, pre, options, lo=lo, hi=hi, result_buf=result_buf,
+            per_vertex_buf=per_vertex_buf, memory=memory)
 
     return body
 
@@ -233,45 +215,34 @@ def _warp_intersect(engine: SimtEngine, pre: PreprocessResult,
     if per_vertex_buf is not None:
         raise ReproError("the warp_intersect kernel has no per-vertex "
                          "accumulation path; use kernel 'local'")
-    # The body branches on ``options.engine`` internally (its chunk
-    # gathers need the per-warp lane counts either way).
     return warp_intersect_kernel(engine, pre, lo=lo, hi=hi,
-                                 result_buf=result_buf, options=options)
+                                 result_buf=result_buf)
 
 
 #: The paper's thread-per-edge two-pointer merge (Section III-C).
 MERGE = register(KernelSpec(
     name="merge", display_name="CountTriangles",
-    bodies={"lockstep": _count_body("lockstep", "two_pointer"),
-            "compacted": _count_body("compacted", "two_pointer")},
-    option_field="two_pointer"))
+    body=_count_body("two_pointer"), option_field="two_pointer"))
 
 #: The Green et al. warp-per-edge comparator (Section V).
 WARP_INTERSECT = register(KernelSpec(
     name="warp_intersect", display_name="WarpIntersect",
-    bodies={"lockstep": _warp_intersect, "compacted": _warp_intersect},
-    requires_soa=True, option_field="warp_intersect"))
+    body=_warp_intersect, requires_soa=True, option_field="warp_intersect"))
 
 #: Binary-search intersection: log-probes of the longer list
 #: (Wang/Owens comparative study; shared drivers, new strategy).
 BINARY_SEARCH = register(KernelSpec(
     name="binary_search", display_name="BinarySearchIntersect",
-    bodies={"lockstep": _count_body("lockstep", "binary_search"),
-            "compacted": _count_body("compacted", "binary_search")},
-    option_field="binary_search"))
+    body=_count_body("binary_search"), option_field="binary_search"))
 
 #: Hash intersection: TRUST-style per-vertex bucket tables built on
 #: device per launch, probed O(1) expected per candidate.
 HASH = register(KernelSpec(
     name="hash", display_name="HashIntersect",
-    bodies={"lockstep": _count_body("lockstep", "hash"),
-            "compacted": _count_body("compacted", "hash")},
-    option_field="hash"))
+    body=_count_body("hash"), option_field="hash"))
 
 #: The merge kernel with one ``atomicAdd`` per triangle corner — exact
 #: local counts for the clustering-coefficient application.
 LOCAL = register(KernelSpec(
     name="local", display_name="CountTriangles+local",
-    bodies={"lockstep": _count_body("lockstep", "two_pointer"),
-            "compacted": _count_body("compacted", "two_pointer")},
-    per_vertex=True))
+    body=_count_body("two_pointer"), per_vertex=True))

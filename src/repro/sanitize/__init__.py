@@ -15,7 +15,7 @@ simulated substrate:
   enforces simulator invariants across ``src/`` (rule catalog in
   ``docs/sanitizer.md``).
 * :mod:`repro.sanitize.matrix` — the ``repro-bench sanitize`` clean
-  kernel matrix: every engine × merge variant under all three checkers,
+  kernel matrix: every kernel × merge variant under all three checkers,
   with a sanitize-off identity comparison.
 
 The dynamic layer is identity-preserving by contract: a clean kernel

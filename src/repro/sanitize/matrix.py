@@ -1,10 +1,10 @@
 """The clean-kernel sanitize matrix (``repro-bench sanitize``).
 
-Runs every kernel configuration — both engines x both merge variants of
-the two-pointer kernel, both engines of the binary-search and hash
-intersection strategies and of the warp-intersect comparator, plus the
-atomicAdd-heavy local-counts pipeline — on small skewed graphs with all
-three checkers armed, and asserts two things per cell:
+Runs every kernel configuration — both merge variants of the
+two-pointer kernel, the binary-search and hash intersection strategies
+and the warp-intersect comparator, plus the atomicAdd-heavy
+local-counts pipeline — on small skewed graphs with all three checkers
+armed, and asserts two things per cell:
 
 * **zero findings** — the shipped kernels are memcheck/initcheck/
   racecheck-clean (any finding is a kernel bug or a checker false
@@ -42,17 +42,12 @@ _GRAPHS = (
     ("rmat8", lambda seed: rmat(8, 10.0, seed=seed)),
 )
 
-#: (kernel, merge_variant, engine) cells.  merge_variant only applies
-#: to the two-pointer merge strategy; the probing strategies
-#: (binary_search, hash) and the warp comparator keep "final".
-_CONFIGS = tuple(
-    [("two_pointer", mv, eng)
-     for mv in ("final", "preliminary")
-     for eng in ("lockstep", "compacted")]
-    + [(kernel, "final", eng)
-       for kernel in ("binary_search", "hash", "warp_intersect")
-       for eng in ("lockstep", "compacted")]
-)
+#: (kernel, merge_variant) cells.  merge_variant only applies to the
+#: two-pointer merge strategy; the probing strategies (binary_search,
+#: hash) and the warp comparator keep "final".
+_CONFIGS = (("two_pointer", "final"), ("two_pointer", "preliminary"),
+            ("binary_search", "final"), ("hash", "final"),
+            ("warp_intersect", "final"))
 
 
 @dataclass
@@ -62,7 +57,6 @@ class SanitizeCell:
     graph: str
     kernel: str
     merge_variant: str
-    engine: str
     pipeline: str                    # "count" or "local"
     triangles: int
     findings: int
@@ -75,7 +69,7 @@ class SanitizeCell:
         return self.findings == 0 and self.identical and not self.error
 
     def summary(self) -> str:
-        cfg = f"{self.kernel}/{self.merge_variant}/{self.engine}"
+        cfg = f"{self.kernel}/{self.merge_variant}"
         status = "clean" if self.ok else "FAIL"
         text = (f"{self.graph:<7} {self.pipeline:<6} {cfg:<34} "
                 f"findings={self.findings} identical={self.identical} "
@@ -136,7 +130,7 @@ def _run_cell(graph, label: str, options: GpuOptions, mode: str,
 
     cell = SanitizeCell(graph=label, kernel=options.kernel,
                         merge_variant=options.merge_variant,
-                        engine=options.engine, pipeline=pipeline,
+                        pipeline=pipeline,
                         triangles=base.triangles, findings=0)
     try:
         san = run_of(graph, device=GTX_980,
@@ -169,20 +163,17 @@ def run_sanitize_matrix(strict: bool = False, seed: int = 0,
     cells: list[SanitizeCell] = []
     for label, build in _GRAPHS:
         graph = build(seed)
-        for kernel, mv, eng in _CONFIGS:
-            options = GpuOptions(kernel=kernel, merge_variant=mv, engine=eng)
+        for kernel, mv in _CONFIGS:
+            options = GpuOptions(kernel=kernel, merge_variant=mv)
             cell = _run_cell(graph, label, options, mode)
             if progress is not None:
                 progress(cell)
             cells.append(cell)
-    # atomic_add coverage: the local-counts pipeline on the BA graph,
-    # both engines (per-vertex accumulator hammered by every match).
-    graph = _GRAPHS[0][1](seed)
-    for eng in ("lockstep", "compacted"):
-        options = GpuOptions(engine=eng)
-        cell = _run_cell(graph, _GRAPHS[0][0], options, mode,
-                         pipeline="local")
-        if progress is not None:
-            progress(cell)
-        cells.append(cell)
+    # atomic_add coverage: the local-counts pipeline on the BA graph
+    # (per-vertex accumulator hammered by every match).
+    cell = _run_cell(_GRAPHS[0][1](seed), _GRAPHS[0][0], GpuOptions(), mode,
+                     pipeline="local")
+    if progress is not None:
+        progress(cell)
+    cells.append(cell)
     return SanitizeMatrixReport(cells=cells, mode=mode, seed=seed)

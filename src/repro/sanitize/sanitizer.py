@@ -84,7 +84,7 @@ class SanitizerReport:
         Name of the :class:`DeviceBuffer` involved.
     step : int
         Kernel step index (instruction blocks completed when the access
-        was issued — the engine's ``end_step`` counter).
+        was issued — the engine's ``end_step_warps`` counter).
     step_kind : str or None
         Instruction-block kind of that step (``"setup"``, ``"merge"``,
         ...), stamped retroactively when the block ends.

@@ -2,7 +2,7 @@
 
 ``configs/tuned.json`` (written by ``repro-bench tune`` /
 :meth:`repro.bench.autotune.SweepReport.write_tuned`) records one
-winning (kernel, engine, launch geometry) per device.  The
+winning (kernel, launch geometry) per device.  The
 :class:`~repro.serve.scheduler.FleetScheduler` accepts a
 :class:`TunedConfigs` and applies the matching device's entry to every
 GPU run it launches there.
@@ -13,8 +13,6 @@ What a tuned entry may change — and what it may not:
   every kernel in the registry is exact, so triangle counts are
   identical under any tuned entry (the bit-identity contract the bench
   suites pin);
-* ``engine`` changes *host* wall-clock only (compacted vs lockstep are
-  bit-identical by contract);
 * job identity — :meth:`ServeJob.cache_key`, batching, the
   preprocessed-graph cache — stays keyed on the job's *own* options:
   tuning is a per-device execution detail, not a new workload.
@@ -26,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.core.options import ENGINES, GpuOptions
+from repro.core.options import GpuOptions
 from repro.errors import SweepConfigError
 from repro.gpusim.device import DEVICES, DeviceSpec
 from repro.gpusim.simt import LaunchConfig
@@ -55,12 +53,11 @@ class TunedEntry:
 
     device: str
     kernel: str                 # registry name ("merge", ...) or "auto"
-    engine: str
     threads_per_block: int
     blocks_per_sm: int
 
     def apply(self, base: GpuOptions) -> GpuOptions:
-        """``base`` with this entry's launch/kernel/engine substituted.
+        """``base`` with this entry's launch/kernel substituted.
 
         ``kernel="auto"`` is an options value, not a registry name — it
         passes through directly and resolves per graph inside
@@ -70,7 +67,6 @@ class TunedEntry:
                   else kernel_option_field(self.kernel))
         return base.but(
             kernel=kernel,
-            engine=self.engine,
             launch=LaunchConfig(self.threads_per_block, self.blocks_per_sm))
 
 
@@ -84,11 +80,6 @@ def _entry_from(device: str, table: dict) -> TunedEntry:
         raise SweepConfigError(
             f"{prefix}.kernel", f"unknown kernel {kernel!r} "
                                 f"(valid: {', '.join(tunable)})")
-    engine = table.get("engine", "compacted")
-    if engine not in ENGINES:
-        raise SweepConfigError(
-            f"{prefix}.engine", f"unknown engine {engine!r} "
-                                f"(valid: {', '.join(ENGINES)})")
     geometry = {}
     for key in ("threads_per_block", "blocks_per_sm"):
         value = table.get(key)
@@ -96,7 +87,7 @@ def _entry_from(device: str, table: dict) -> TunedEntry:
             raise SweepConfigError(f"{prefix}.{key}",
                                    f"expected a positive int, got {value!r}")
         geometry[key] = value
-    entry = TunedEntry(device=device, kernel=kernel, engine=engine, **geometry)
+    entry = TunedEntry(device=device, kernel=kernel, **geometry)
     # An entry the device cannot launch is a config error at load time,
     # not a mid-trace crash.
     entry.apply(GpuOptions()).launch.validate(DEVICES[device])
@@ -170,6 +161,6 @@ class TunedConfigs:
         lines = [f"tuned configs ({len(self.entries)} device(s), "
                  f"objective {self.sweep.get('objective', '?')})"]
         for device, e in sorted(self.entries.items()):
-            lines.append(f"  {device:<9} {e.kernel}/{e.engine} "
+            lines.append(f"  {device:<9} {e.kernel} "
                          f"{e.threads_per_block}x{e.blocks_per_sm}")
         return "\n".join(lines)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro
+from repro.gpusim.device import GTX_980, DeviceSpec
 from repro.graphs.edgearray import EdgeArray
 from repro.graphs.generators import (barabasi_albert, complete_graph,
                                      cycle_graph, erdos_renyi_gnm,
@@ -91,6 +94,16 @@ def medium_rmat() -> EdgeArray:
 def any_graph(request) -> EdgeArray:
     """Parametrized sweep over all reference graphs."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(scope="session")
+def tiny_device() -> DeviceSpec:
+    """A synthetic 2-SM device whose caches hold a handful of lines
+    (L1: 2 sets x 2 ways per SM, L2: 4 sets x 4 ways), so even tiny
+    graphs drive grid-stride rounds and evictions at both levels."""
+    return replace(GTX_980, name="tiny-2sm", num_sms=2,
+                   l1_bytes=4 * GTX_980.line_bytes, l1_ways=2,
+                   l2_bytes=16 * GTX_980.line_bytes, l2_ways=4)
 
 
 def expected_triangles(graph: EdgeArray) -> int:

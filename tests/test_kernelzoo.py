@@ -132,7 +132,7 @@ class TestBaselineCheck:
         assert baseline_problems(report, committed_doc) == []
 
     def test_new_zoo_cell_is_a_problem(self, committed_doc):
-        """Unlike wallclock, the calibration is a *policy input*: a zoo
+        """The calibration is a *policy input*: a zoo
         cell the baseline has never seen means the committed artifact
         is stale and must be regenerated."""
         report = _report_from_doc(committed_doc)

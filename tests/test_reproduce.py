@@ -45,8 +45,7 @@ class TestSummarySchema:
         doc = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
         assert doc["format"] == SUMMARY_FORMAT
         assert set(doc["sections"]) == {"table1", "figure1", "serve",
-                                        "serve_scale", "wallclock", "tune",
-                                        "analyze"}
+                                        "serve_scale", "tune", "analyze"}
         for section in doc["sections"].values():
             assert isinstance(section["ok"], bool)
         assert doc["volatile_keys"] == sorted(VOLATILE_KEYS)
@@ -71,7 +70,7 @@ class TestSummarySchema:
         assert m["preset"] == "tiny"
         assert m["python"] and m["numpy"]
         assert set(m["seeds"]) == {"table1", "figure1", "serve",
-                                  "serve_scale", "wallclock", "sweep"}
+                                  "serve_scale", "sweep"}
         assert m["sweep_config"]["grid"]["device"]
 
     def test_band_check_failure_wiring(self, bundle):
@@ -89,7 +88,7 @@ class TestSummarySchema:
         text = (Path(bundle.out_dir) / "report.md").read_text()
         assert "Verdict: PASS" in text
         for heading in ("Manifest", "Table I", "Figure 1", "Serving",
-                        "Serve-scale", "Engine wall-clock", "Autotune",
+                        "Serve-scale", "Autotune",
                         "Static analysis", "Artifacts"):
             assert heading in text
         for filename in ARTIFACT_FILES:
@@ -170,7 +169,7 @@ class TestTunedRoundTrip:
     def tuned(self, tmp_path_factory):
         config = SweepConfig(
             name="t", workload="kron16", seed=0, objective="kernel_ms",
-            devices=("gtx980",), kernels=("merge",), engines=("compacted",),
+            devices=("gtx980",), kernels=("merge",),
             threads_per_block=(64, 256), blocks_per_sm=(2, 8),
             scales=(1.0,))
         path = tmp_path_factory.mktemp("tuned") / "tuned.json"
@@ -212,14 +211,14 @@ class TestTunedRoundTrip:
     def test_invalid_tuned_doc_names_key(self):
         with pytest.raises(SweepConfigError) as exc:
             TunedConfigs.from_doc({"format": "repro-tuned/v1", "devices": {
-                "gtx980": {"kernel": "merge", "engine": "compacted",
+                "gtx980": {"kernel": "merge",
                            "threads_per_block": -4, "blocks_per_sm": 1}}})
         assert exc.value.key == "devices.gtx980.threads_per_block"
 
     def test_unlaunchable_entry_rejected_at_load(self):
         with pytest.raises(Exception):
             TunedConfigs.from_doc({"format": "repro-tuned/v1", "devices": {
-                "gtx980": {"kernel": "merge", "engine": "compacted",
+                "gtx980": {"kernel": "merge",
                            "threads_per_block": 4096, "blocks_per_sm": 64}}})
 
     def test_committed_tuned_json_loads(self):
@@ -240,7 +239,7 @@ class TestTunedRoundTrip:
         from repro.core.options import GpuOptions
         tuned = TunedConfigs.from_doc({
             "format": "repro-tuned/v1", "devices": {
-                "gtx980": {"kernel": "auto", "engine": "compacted",
+                "gtx980": {"kernel": "auto",
                            "threads_per_block": 64, "blocks_per_sm": 8}}})
         entry = tuned.entry_for(GTX_980)
         applied = entry.apply(GpuOptions())
@@ -251,11 +250,9 @@ class TestTunedRoundTrip:
         tuned = TunedConfigs.from_doc({
             "format": "repro-tuned/v1", "devices": {
                 "gtx980": {"kernel": "binary_search",
-                           "engine": "lockstep",
                            "threads_per_block": 64, "blocks_per_sm": 8}}})
         applied = tuned.entry_for(GTX_980).apply(GpuOptions())
         assert applied.kernel == "binary_search"
-        assert applied.engine == "lockstep"
 
 
 class TestCli:

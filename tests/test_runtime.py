@@ -3,43 +3,29 @@ stream timeline and the hostprof phase vocabulary."""
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.count_kernel import count_triangles_kernel
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.hybrid import gpu_hub_counter, hybrid_count_triangles
 from repro.core.multi_gpu import multi_gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.core.partitioned import (gpu_subgraph_counter,
                                     partitioned_count_triangles)
-from repro.core.preprocess import preprocess
-from repro.core.warp_intersect_kernel import warp_intersect_kernel
 from repro.cpu.forward import forward_count_cpu
 from repro.errors import ReproError
 from repro.gpusim.device import GTX_980, NVS_5200M, TESLA_C2050
 from repro.gpusim.hostprof import HostProfiler, host_profiling
 from repro.gpusim.memory import DeviceMemory
-from repro.gpusim.timing import Timeline
 from repro.runtime import (KernelSpec, LaunchPlan, StreamTimeline,
-                           build_engine, dispatch_kernel, get_kernel,
-                           kernel_names, launch, resolve_kernel,
-                           spec_for_options)
+                           get_kernel, kernel_names, launch,
+                           resolve_kernel, spec_for_options)
 from repro.runtime.spec import register
 from repro.sanitize.lint import lint_source
-
-
-class _FakeOptions:
-    """Duck-typed options with a bad engine string (the silent-fallback
-    regression: pre-refactor call sites fell back to lockstep)."""
-
-    def __init__(self, engine="cuda"):
-        self.engine = engine
-        self.merge_variant = "final"
-        self.launch = GpuOptions().launch
-        self.use_readonly_cache = True
 
 
 class TestRegistry:
@@ -57,7 +43,8 @@ class TestRegistry:
         assert resolve_kernel("merge") is spec
 
     def test_register_rejects_duplicate_name(self):
-        clone = KernelSpec(name="merge", display_name="X", bodies={})
+        clone = KernelSpec(name="merge", display_name="X",
+                           body=get_kernel("merge").body)
         with pytest.raises(ReproError, match="already registered"):
             register(clone)
 
@@ -67,51 +54,16 @@ class TestRegistry:
             GpuOptions(kernel="warp_intersect")).name == "warp_intersect"
         assert spec_for_options(GpuOptions(), per_vertex=True).name == "local"
 
-    def test_body_for_unknown_engine_names_choices(self):
-        with pytest.raises(ReproError, match="valid engines"):
-            get_kernel("merge").body_for("cuda")
-
 
 class TestEagerValidation:
-    """The satellite bugfix: bad engine/kernel/sanitize strings are
-    typed errors naming the valid choices — never a silent fallback."""
+    """Bad kernel/sanitize strings are typed errors naming the valid
+    choices — never a silent fallback."""
 
     @pytest.mark.parametrize("field,value", [
-        ("engine", "cuda"), ("kernel", "bitonic"), ("sanitize", "loud")])
+        ("kernel", "bitonic"), ("sanitize", "loud")])
     def test_gpu_options_rejects_bad_strings(self, field, value):
         with pytest.raises(ReproError, match="must be one of"):
             GpuOptions(**{field: value})
-
-    def test_count_kernel_rejects_ducktyped_bad_engine(self, small_rmat):
-        opts = GpuOptions()
-        memory = DeviceMemory(GTX_980)
-        pre = preprocess(small_rmat, GTX_980, memory, Timeline(), opts)
-        engine = build_engine(GTX_980, opts)
-        with pytest.raises(ReproError, match="engine must be one of"):
-            count_triangles_kernel(engine, pre, _FakeOptions())
-
-    def test_warp_intersect_rejects_ducktyped_bad_engine(self, small_rmat):
-        opts = GpuOptions()
-        memory = DeviceMemory(GTX_980)
-        pre = preprocess(small_rmat, GTX_980, memory, Timeline(), opts)
-        engine = build_engine(GTX_980, opts)
-        with pytest.raises(ReproError, match="engine must be one of"):
-            warp_intersect_kernel(engine, pre, options=_FakeOptions())
-
-    def test_dispatch_rejects_ducktyped_bad_engine(self, small_rmat):
-        opts = GpuOptions()
-        memory = DeviceMemory(GTX_980)
-        pre = preprocess(small_rmat, GTX_980, memory, Timeline(), opts)
-        engine = build_engine(GTX_980, opts)
-        with pytest.raises(ReproError, match="valid engines"):
-            dispatch_kernel("merge", engine, pre, _FakeOptions())
-
-    def test_launch_validates_engine_before_any_allocation(self, small_rmat):
-        memory = DeviceMemory(GTX_980)
-        with pytest.raises(ReproError, match="valid engines"):
-            launch(LaunchPlan(kernel="merge", graph=small_rmat,
-                              options=_FakeOptions(), memory=memory))
-        assert memory.total_allocated_bytes == 0
 
 
 class TestLaunch:
@@ -162,6 +114,19 @@ class TestLaunch:
         top = sum(profiler.phases[p].seconds
                   for p in ("h2d", "kernel", "d2h", "free"))
         assert profiler.total_seconds == pytest.approx(top)
+
+    @pytest.mark.parametrize("kernel", ["two_pointer", "binary_search",
+                                        "hash"])
+    def test_hostprof_total_within_wall_time(self, small_rmat, kernel):
+        """Every strategy's step section nests inside ``kernel``, so the
+        top-level total never exceeds the call's own wall time."""
+        profiler = HostProfiler()
+        with host_profiling(profiler):
+            t0 = perf_counter()
+            gpu_count_triangles(small_rmat,
+                                options=GpuOptions(kernel=kernel))
+            wall = perf_counter() - t0
+        assert profiler.total_seconds <= wall
 
     def test_sanitizer_attached_when_requested(self, small_rmat):
         run = launch(LaunchPlan(kernel="merge", graph=small_rmat,

@@ -43,6 +43,14 @@ def _env(mode="report", **kw):
     return mem, san, engine
 
 
+def _end_step(engine, kind, lanes, instructions=1):
+    """Close a step over the warps owning ``lanes``."""
+    counts = np.bincount(np.asarray(lanes) // engine.warp_size,
+                         minlength=engine.num_warps)
+    warps = np.flatnonzero(counts)
+    engine.end_step_warps(kind, warps, counts[warps], instructions)
+
+
 def _only(san, checker, kind):
     """The single report the test expects, with checker/kind asserted."""
     assert len(san.reports) == 1, [r.message() for r in san.reports]
@@ -64,7 +72,7 @@ class TestMemcheck:
         mem, san, engine = _env()
         buf = mem.alloc("adj", np.arange(size, dtype=np.int64))
         bad = size - 1 + excess
-        engine.read(buf, np.array([0, bad]), np.array([0, lane]))
+        engine.read_compacted(buf, np.array([0, bad]), np.array([0, lane]))
         rep = _only(san, "memcheck", "oob-read")
         assert rep.buffer == "adj"
         assert rep.index == bad
@@ -75,7 +83,7 @@ class TestMemcheck:
     def test_oob_report_mode_clamps_and_continues(self):
         mem, san, engine = _env()
         buf = mem.alloc("adj", np.arange(8, dtype=np.int64))
-        vals = engine.read(buf, np.array([2, 100]), np.array([0, 1]))
+        vals = engine.read_compacted(buf, np.array([2, 100]), np.array([0, 1]))
         # Clamped to the last element: execution continues, defined.
         assert vals.tolist() == [2, 7]
         assert san.findings == 1
@@ -89,14 +97,14 @@ class TestMemcheck:
     def test_oob_negative_index(self):
         mem, san, engine = _env()
         buf = mem.alloc("adj", np.arange(8, dtype=np.int64))
-        engine.read(buf, np.array([-3]), np.array([0]))
+        engine.read_compacted(buf, np.array([-3]), np.array([0]))
         assert _only(san, "memcheck", "oob-read").index == -3
 
     def test_strict_raises_typed_error(self):
         mem, san, engine = _env(mode="strict")
         buf = mem.alloc("adj", np.arange(8, dtype=np.int64))
         with pytest.raises(MemcheckError, match="oob-read.*'adj'"):
-            engine.read(buf, np.array([64]), np.array([0]))
+            engine.read_compacted(buf, np.array([64]), np.array([0]))
 
     @settings(max_examples=25, deadline=None)
     @given(lane=st.integers(0, 255), index=st.integers(0, 7))
@@ -104,7 +112,7 @@ class TestMemcheck:
         mem, san, engine = _env()
         buf = mem.alloc("scratch", np.arange(8, dtype=np.int64))
         mem.free(buf)
-        engine.read(buf, np.array([index]), np.array([lane]))
+        engine.read_compacted(buf, np.array([index]), np.array([lane]))
         rep = _only(san, "memcheck", "use-after-free")
         assert rep.buffer == "scratch"
         assert rep.warp == lane // WS
@@ -122,13 +130,13 @@ class TestMemcheck:
         mem, san, engine = _env(memcheck=False)
         buf = mem.alloc("adj", np.arange(8, dtype=np.int64))
         with pytest.raises(KernelFault):
-            engine.read(buf, np.array([64]), np.array([0]))
+            engine.read_compacted(buf, np.array([64]), np.array([0]))
 
     def test_occurrence_dedup(self):
         mem, san, engine = _env()
         buf = mem.alloc("adj", np.arange(8, dtype=np.int64))
         for _ in range(5):
-            engine.read(buf, np.array([99]), np.array([0]))
+            engine.read_compacted(buf, np.array([99]), np.array([0]))
         assert len(san.reports) == 1
         assert san.reports[0].occurrences == 5
         assert san.findings == 5
@@ -146,7 +154,7 @@ class TestInitcheck:
         index = data.draw(st.integers(0, size - 1))
         mem, san, engine = _env()
         buf = mem.alloc_empty("result", size, np.int64)
-        engine.read(buf, np.array([index]), np.array([lane]))
+        engine.read_compacted(buf, np.array([index]), np.array([lane]))
         rep = _only(san, "initcheck", "uninit-read")
         assert rep.buffer == "result"
         assert rep.index == index
@@ -156,7 +164,7 @@ class TestInitcheck:
         mem, san, engine = _env()
         buf = mem.alloc_empty("result", 8, np.int64)
         engine.write(buf, np.arange(8), np.arange(8), np.arange(8))
-        engine.read(buf, np.arange(8), np.arange(8))
+        engine.read_compacted(buf, np.arange(8), np.arange(8))
         assert san.findings == 0
 
     def test_partial_write_leaves_holes(self):
@@ -164,7 +172,7 @@ class TestInitcheck:
         buf = mem.alloc_empty("result", 8, np.int64)
         engine.write(buf, np.array([0, 1, 2]), np.zeros(3, np.int64),
                      np.array([0, 1, 2]))
-        engine.read(buf, np.array([2, 3]), np.array([0, 1]))
+        engine.read_compacted(buf, np.array([2, 3]), np.array([0, 1]))
         rep = _only(san, "initcheck", "uninit-read")
         assert rep.index == 3
         assert rep.lane == 1
@@ -178,20 +186,20 @@ class TestInitcheck:
         assert _only(san, "initcheck", "uninit-read").index == 1
         san.reports.clear()
         san._dedup.clear()
-        engine.read(buf, np.array([1]), np.array([0]))
+        engine.read_compacted(buf, np.array([1]), np.array([0]))
         assert san.findings == 0
 
     def test_alloc_with_payload_is_valid(self):
         mem, san, engine = _env()
         buf = mem.alloc("table", np.arange(8, dtype=np.int64))
-        engine.read(buf, np.arange(8), np.arange(8))
+        engine.read_compacted(buf, np.arange(8), np.arange(8))
         assert san.findings == 0
 
     def test_strict_raises_typed_error(self):
         mem, san, engine = _env(mode="strict")
         buf = mem.alloc_empty("result", 8, np.int64)
         with pytest.raises(InitcheckError, match="uninit-read.*'result'"):
-            engine.read(buf, np.array([0]), np.array([0]))
+            engine.read_compacted(buf, np.array([0]), np.array([0]))
 
 
 # --------------------------------------------------------------------- #
@@ -209,7 +217,7 @@ class TestRacecheck:
                      np.array([w1 * WS]))
         engine.write(buf, np.array([index]), np.array([2]),
                      np.array([w2 * WS]))
-        engine.end_step("merge", np.array([w1 * WS, w2 * WS]), 1)
+        _end_step(engine, "merge", np.array([w1 * WS, w2 * WS]))
         rep = _only(san, "racecheck", "write-write-race")
         assert rep.buffer == "counts"
         assert rep.index == index
@@ -220,8 +228,8 @@ class TestRacecheck:
         mem, san, engine = _env()
         buf = mem.alloc("counts", np.zeros(16, np.int64))
         engine.write(buf, np.array([5]), np.array([1]), np.array([0]))
-        engine.read(buf, np.array([5]), np.array([WS]))   # warp 1 reads
-        engine.end_step("merge", np.array([0, WS]), 1)
+        engine.read_compacted(buf, np.array([5]), np.array([WS]))   # warp 1 reads
+        _end_step(engine, "merge", np.array([0, WS]))
         rep = _only(san, "racecheck", "read-write-race")
         assert rep.index == 5
         assert rep.warp == 1
@@ -231,8 +239,8 @@ class TestRacecheck:
         buf = mem.alloc("counts", np.zeros(16, np.int64))
         engine.write(buf, np.array([5]), np.array([1]), np.array([0]))
         engine.write(buf, np.array([5]), np.array([2]), np.array([3]))
-        engine.read(buf, np.array([5]), np.array([7]))
-        engine.end_step("merge", np.array([0, 3, 7]), 1)
+        engine.read_compacted(buf, np.array([5]), np.array([7]))
+        _end_step(engine, "merge", np.array([0, 3, 7]))
         assert san.findings == 0
 
     def test_atomics_are_exempt(self):
@@ -241,7 +249,7 @@ class TestRacecheck:
         for w in range(4):
             engine.atomic_add(buf, np.array([5]), np.array([1]),
                               np.array([w * WS]))
-        engine.end_step("merge", np.arange(4) * WS, 1)
+        _end_step(engine, "merge", np.arange(4) * WS)
         assert san.findings == 0
         assert buf.data[5] == 4
 
@@ -251,9 +259,9 @@ class TestRacecheck:
         mem, san, engine = _env()
         buf = mem.alloc("counts", np.zeros(16, np.int64))
         engine.write(buf, np.array([5]), np.array([1]), np.array([0]))
-        engine.end_step("merge", np.array([0]), 1)
+        _end_step(engine, "merge", np.array([0]))
         engine.write(buf, np.array([5]), np.array([2]), np.array([WS]))
-        engine.end_step("merge", np.array([WS]), 1)
+        _end_step(engine, "merge", np.array([WS]))
         assert san.findings == 0
 
     def test_disjoint_addresses_are_clean(self):
@@ -261,7 +269,7 @@ class TestRacecheck:
         buf = mem.alloc("counts", np.zeros(16, np.int64))
         engine.write(buf, np.array([1]), np.array([1]), np.array([0]))
         engine.write(buf, np.array([2]), np.array([1]), np.array([WS]))
-        engine.end_step("merge", np.array([0, WS]), 1)
+        _end_step(engine, "merge", np.array([0, WS]))
         assert san.findings == 0
 
     def test_strict_raises_typed_error_at_step_end(self):
@@ -270,14 +278,14 @@ class TestRacecheck:
         engine.write(buf, np.array([5]), np.array([1]), np.array([0]))
         engine.write(buf, np.array([5]), np.array([2]), np.array([WS]))
         with pytest.raises(RacecheckError, match="write-write-race"):
-            engine.end_step("merge", np.array([0, WS]), 1)
+            _end_step(engine, "merge", np.array([0, WS]))
 
     def test_step_kind_stamped(self):
         mem, san, engine = _env()
         buf = mem.alloc("counts", np.zeros(16, np.int64))
         engine.write(buf, np.array([9]), np.array([1]), np.array([0]))
         engine.write(buf, np.array([9]), np.array([1]), np.array([WS]))
-        engine.end_step("setup", np.array([0, WS]), 1)
+        _end_step(engine, "setup", np.array([0, WS]))
         assert san.reports[0].step_kind == "setup"
 
 
@@ -291,12 +299,10 @@ class TestCleanKernels:
         bad = [c.summary() for c in report.cells if not c.ok]
         assert report.ok, bad
         assert report.findings == 0
-        # Full coverage: both engines x both merge variants of the
-        # two-pointer kernel x the probing strategies and the warp
-        # comparator on two graphs, plus the atomic-heavy local
-        # pipeline.
-        assert len(report.cells) == 22
-        assert {c.engine for c in report.cells} == {"lockstep", "compacted"}
+        # Full coverage: both merge variants of the two-pointer kernel,
+        # the probing strategies and the warp comparator on two graphs,
+        # plus the atomic-heavy local pipeline.
+        assert len(report.cells) == 11
         assert {c.kernel for c in report.cells} == {
             "two_pointer", "binary_search", "hash", "warp_intersect"}
         assert report.cross_kernel_disagreements == []
@@ -324,7 +330,7 @@ class TestCleanKernels:
     def test_format_report_sheet(self):
         mem, san, engine = _env()
         buf = mem.alloc("adj", np.arange(4, dtype=np.int64))
-        engine.read(buf, np.array([9]), np.array([0]))
+        engine.read_compacted(buf, np.array([9]), np.array([0]))
         sheet = san.format_report()
         assert sheet.startswith("==SANITIZE==")
         assert "memcheck=1" in sheet
@@ -350,27 +356,27 @@ def leak(buf: DeviceBuffer):
 
 _SAN102_BAD = """\
 def kernel(engine, buf, idx, lanes):
-    vals = engine.read(buf, idx, lanes)
+    vals = engine.read_compacted(buf, idx, lanes)
     return vals
 """
 
 _SAN102_ALIAS = """\
-def kernel(engine, buf, idx, lanes, compacted):
-    read = engine.read_compacted if compacted else engine.read
+def kernel(engine, buf, idx, lanes, traced):
+    read = engine.read_compacted if not traced else traced
     return read(buf, idx, lanes)
 """
 
 _SAN102_GOOD = """\
 def kernel(engine, buf, idx, lanes):
-    vals = engine.read(buf, idx, lanes)
-    engine.end_step("merge", lanes, 4)
+    vals = engine.read_compacted(buf, idx, lanes)
+    engine.end_step_warps("merge", lanes, lanes, 4)
     return vals
 """
 
 _SAN102_NESTED_OK = """\
 def kernel(engine, buf, idx, lanes):
     def _adj_read(i, l):
-        return engine.read(buf, i, l)
+        return engine.read_compacted(buf, i, l)
     vals = _adj_read(idx, lanes)
     engine.end_step_warps("merge", lanes, lanes, 4)
     return vals

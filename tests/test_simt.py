@@ -75,7 +75,7 @@ class TestEngineMemoryPath:
         buf = mem.alloc("x", np.arange(100, dtype=np.int32))
         eng = _engine()
         lanes = np.arange(4)
-        vals = eng.read(buf, np.array([3, 1, 4, 1]), lanes)
+        vals = eng.read_compacted(buf, np.array([3, 1, 4, 1]), lanes)
         assert vals.tolist() == [3, 1, 4, 1]
 
     def test_coalesced_read_is_one_transaction(self):
@@ -83,7 +83,7 @@ class TestEngineMemoryPath:
         buf = mem.alloc("x", np.arange(64, dtype=np.int32))
         eng = _engine()
         lanes = np.arange(32)
-        eng.read(buf, np.arange(32), lanes)
+        eng.read_compacted(buf, np.arange(32), lanes)
         assert eng.report.transactions == 1
         assert eng.report.lane_reads == 32
 
@@ -92,9 +92,9 @@ class TestEngineMemoryPath:
         buf = mem.alloc("x", np.arange(64, dtype=np.int32))
         eng = _engine()
         lanes = np.arange(8)
-        eng.read(buf, np.arange(8), lanes)
+        eng.read_compacted(buf, np.arange(8), lanes)
         misses_before = eng.report.l1_misses
-        eng.read(buf, np.arange(8), lanes)
+        eng.read_compacted(buf, np.arange(8), lanes)
         assert eng.report.l1_misses == misses_before
         assert eng.report.l1_hits > 0
 
@@ -103,7 +103,7 @@ class TestEngineMemoryPath:
         buf = mem.alloc("x", np.zeros(10_000, np.int32))
         eng = _engine()
         lanes = np.arange(32)
-        eng.read(buf, np.arange(32) * 64, lanes)  # 32 distinct lines
+        eng.read_compacted(buf, np.arange(32) * 64, lanes)  # 32 distinct lines
         assert eng.report.dram_bytes == 32 * GTX_980.line_bytes
 
     def test_uncached_path_uses_sectors(self):
@@ -112,7 +112,7 @@ class TestEngineMemoryPath:
         eng = _engine(use_ro_cache=False)
         assert eng.l1 is None
         lanes = np.arange(32)
-        eng.read(buf, np.arange(32) * 64, lanes)
+        eng.read_compacted(buf, np.arange(32) * 64, lanes)
         assert eng.report.dram_bytes == 32 * GTX_980.sector_bytes
 
     def test_fermi_always_caches(self):
@@ -133,7 +133,8 @@ class TestAccounting:
     def test_end_step_counts_warps(self):
         eng = _engine()
         # 33 lanes span 2 warps
-        eng.end_step("merge", np.arange(33), instructions=10)
+        eng.end_step_warps("merge", np.array([0, 1]), np.array([32, 1]),
+                           instructions=10)
         assert eng.report.warp_steps["merge"] == 2
         assert eng.report.instruction_slots == 20
         assert eng.report.total_warp_steps == 2
@@ -141,18 +142,23 @@ class TestAccounting:
 
     def test_simd_efficiency(self):
         eng = _engine()
-        eng.end_step("merge", np.arange(16), instructions=10)  # half a warp
+        eng.end_step_warps("merge", np.array([0]), np.array([16]),
+                           instructions=10)  # half a warp
         assert eng.report.simd_efficiency == pytest.approx(0.5)
 
     def test_empty_step_is_free(self):
         eng = _engine()
-        eng.end_step("merge", np.array([], dtype=np.int64), instructions=10)
+        none = np.array([], dtype=np.int64)
+        eng.end_step_warps("merge", none, none, instructions=10)
         assert eng.report.total_warp_steps == 0
+        assert eng.report.warp_steps == {}
 
     def test_sm_attribution(self):
         # 2 blocks on a 16-SM part land on SMs 0 and 1
         eng = SimtEngine(GTX_980, LaunchConfig(64, 2))
-        eng.end_step("merge", np.arange(eng.num_threads), instructions=1)
+        eng.end_step_warps("merge", np.arange(eng.num_warps),
+                           np.full(eng.num_warps, eng.warp_size),
+                           instructions=1)
         slots = eng.report.sm_instruction_slots
         assert slots.sum() == eng.num_warps
         assert (slots > 0).sum() == 16  # blocks round-robin over all SMs
