@@ -13,10 +13,10 @@ from math import inf, sqrt
 
 import numpy as np
 
-from repro.cpu.forward import forward_count_cpu
+from repro.cpu.listing import list_triangles
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
-from repro.utils import rng_from
+from repro.utils import boundary_mask, rng_from
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class DoulionResult:
         count S for ``T·p³`` and the sparsified pair count R_s for
         ``R·p⁵`` gives ``Var(S) ≈ S·(1−p³) + 2·R_s·(1−p)`` and
         ``std(T̂) = sqrt(Var(S)) / p³``; the bound is two of those.
-        Exact runs (``p == 1``) report a bound of 0.  (On graphs too
-        large for the dense pair count, R_s is 0 and the bound degrades
-        to the binomial-only term — an underestimate on clique-heavy
-        graphs.)
+        Exact runs (``p == 1``) report a bound of 0.  R_s comes from the
+        same listing pass as S, so it is exact at every graph size.
         """
         p3 = self.p ** 3
         if p3 >= 1.0:
@@ -68,28 +66,33 @@ class DoulionResult:
         return 0.0 if self.error_bound == 0.0 else inf
 
 
-#: Above this node count the dense-adjacency pair count is skipped and
-#: the error bound falls back to its binomial-only term.
-_PAIR_COUNT_MAX_NODES = 4096
-
-
-def _edge_pair_triangles(graph: EdgeArray) -> int:
+def _edge_pair_triangles(triangles: np.ndarray, num_nodes: int) -> int:
     """Σ_e C(t_e, 2): pairs of triangles sharing an edge, exactly.
 
-    ``t_e`` (triangles through edge (u, v)) is the common-neighbor count
-    ``(A²)[u, v]`` — one dense matmul at the mini scales the degraded
-    tier serves; skipped (returning 0) past the node-count gate.
+    Every listed triangle ``(w, u, v)`` contributes one to ``t_e`` of
+    each of its three edges; keying those edges canonically and sorting
+    once makes each ``t_e`` a run length.
     """
-    n = graph.num_nodes
-    if n == 0 or n > _PAIR_COUNT_MAX_NODES or graph.num_arcs == 0:
-        return 0
-    mask = graph.first < graph.second
-    u, v = graph.first[mask], graph.second[mask]
-    adj = np.zeros((n, n), dtype=np.int32)
-    adj[u, v] = 1
-    adj[v, u] = 1
-    t_e = (adj @ adj)[u, v].astype(np.int64)
+    w, u, v = triangles.T
+    a = np.concatenate([w, w, u])
+    b = np.concatenate([u, v, v])
+    keys = np.minimum(a, b) * num_nodes + np.maximum(a, b)
+    keys.sort()
+    starts = np.flatnonzero(boundary_mask(keys))
+    t_e = np.diff(starts, append=len(keys))
     return int((t_e * (t_e - 1) // 2).sum())
+
+
+def sparsify(graph: EdgeArray, p: float, seed=None) -> EdgeArray:
+    """Keep each undirected edge of ``graph`` independently with
+    probability ``p`` (one coin per edge, consistent across both arcs)."""
+    rng = rng_from(seed)
+    mask = graph.first < graph.second
+    u = graph.first[mask]
+    v = graph.second[mask]
+    keep = rng.random(len(u)) < p
+    return EdgeArray.from_undirected(u[keep], v[keep],
+                                     num_nodes=graph.num_nodes)
 
 
 def doulion_count(graph: EdgeArray, p: float, seed=None) -> DoulionResult:
@@ -102,18 +105,13 @@ def doulion_count(graph: EdgeArray, p: float, seed=None) -> DoulionResult:
     """
     if not (0.0 < p <= 1.0):
         raise ReproError(f"keep probability must be in (0, 1], got {p}")
-    rng = rng_from(seed)
+    sparse = sparsify(graph, p, seed)
 
-    # Flip one coin per undirected edge (consistent across both arcs).
-    mask = graph.first < graph.second
-    u = graph.first[mask]
-    v = graph.second[mask]
-    keep = rng.random(len(u)) < p
-    sparse = EdgeArray.from_undirected(u[keep], v[keep],
-                                       num_nodes=graph.num_nodes)
-
-    exact = forward_count_cpu(sparse)
-    return DoulionResult(estimate=exact.triangles / p**3,
-                         sparsified_triangles=exact.triangles,
-                         kept_edges=int(keep.sum()), p=p,
-                         edge_pair_triangles=_edge_pair_triangles(sparse))
+    # One listing pass yields both the sparsified count and, from the
+    # listed triangles' edges, the covariance term of the error bound.
+    triangles = list_triangles(sparse).triangles
+    return DoulionResult(estimate=len(triangles) / p**3,
+                         sparsified_triangles=len(triangles),
+                         kept_edges=sparse.num_edges, p=p,
+                         edge_pair_triangles=_edge_pair_triangles(
+                             triangles, graph.num_nodes))

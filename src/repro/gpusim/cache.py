@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
+from repro.utils import boundary_mask
 
 
 @dataclass
@@ -265,9 +266,7 @@ class CacheArray:
             ms = miss_sets[order]
             ml = miss_lines[order]
             k = len(ms)
-            group_start = np.empty(k, dtype=bool)
-            group_start[0] = True
-            np.not_equal(ms[1:], ms[:-1], out=group_start[1:])
+            group_start = boundary_mask(ms)
             n_groups = int(np.count_nonzero(group_start))
             if n_groups == k:
                 # Every miss in its own set (the common case outside a

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils import boundary_mask
+
 
 @dataclass(frozen=True)
 class CoalescedBatch:
@@ -69,7 +71,9 @@ def coalesce(warp_ids: np.ndarray, byte_addrs: np.ndarray,
     w = warp_ids.astype(np.int64)
     span = int(granules.max()) + 1
     if span > 0 and span < (1 << 62) // max(int(w.max()) + 1, 1):
-        uniq = np.unique(w * span + granules)
+        key = w * span + granules
+        key.sort()
+        uniq = key[boundary_mask(key)]
         out_warps = uniq // span
         out_lines = (uniq % span) * granule_bytes
     else:

@@ -34,18 +34,10 @@ from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.hostprof import current_host_profiler
 from repro.gpusim.memory import DeviceBuffer
+from repro.utils import boundary_mask
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
-
-
-def _boundary_mask(sorted_arr: np.ndarray) -> np.ndarray:
-    """Mask selecting the first element of each run in a sorted array
-    (``np.unique`` of a sorted input, without the sort or the copy)."""
-    mask = np.empty(len(sorted_arr), dtype=bool)
-    mask[0] = True
-    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=mask[1:])
-    return mask
 
 
 @dataclass(frozen=True)
@@ -344,10 +336,10 @@ class SimtEngine:
                 # width — one downcast pass buys int32 sorting.
                 key = key.astype(np.int32)
             key.sort()
-            pu = key[_boundary_mask(key)] >> self._warp_bits
+            pu = key[boundary_mask(key)] >> self._warp_bits
             n_trans = len(pu)
             rep.transactions += n_trans
-            upair = pu[_boundary_mask(pu)]
+            upair = pu[boundary_mask(pu)]
             u_line = upair >> self._sm_bits
             n_uniq = len(u_line)
             l1 = self.l1
@@ -366,7 +358,7 @@ class SimtEngine:
                 # L2 on the missing lines; distinct SMs missing one
                 # line fill it once (the extras count as hits).
                 ml = u_line[~hit]
-                uml = ml[_boundary_mask(ml)]
+                uml = ml[boundary_mask(ml)]
                 n_uniq2 = len(uml)
                 l2 = self.l2
                 l2_set = (uml & (l2.sets - 1)
@@ -395,7 +387,7 @@ class SimtEngine:
                               < _INT32_MAX):
                 key = key.astype(np.int32)
             key.sort()
-            su = key[_boundary_mask(key)] >> self._warp_bits
+            su = key[boundary_mask(key)] >> self._warp_bits
             n_trans = len(su)
             rep.transactions += n_trans
             # Sector → L2 line (sorted stays sorted); distinct sectors
@@ -405,7 +397,7 @@ class SimtEngine:
                 l2_line = su >> (self._line_shift - self._sector_shift)
             else:
                 l2_line = su * sb // self.device.line_bytes
-            ul = l2_line[_boundary_mask(l2_line)]
+            ul = l2_line[boundary_mask(l2_line)]
             n_uniq2 = len(ul)
             l2 = self.l2
             l2_set = (ul & (l2.sets - 1)

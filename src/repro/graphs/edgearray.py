@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.types import VERTEX_DTYPE, pack_edges, unpack_edges
-from repro.utils import as_int_array, rng_from
+from repro.utils import as_int_array, boundary_mask, rng_from
 
 
 class EdgeArray:
@@ -85,7 +85,8 @@ class EdgeArray:
         lo, hi = lo[keep], hi[keep]
         if len(lo):
             packed = pack_edges(lo, hi)
-            packed = np.unique(packed)
+            packed.sort()
+            packed = packed[boundary_mask(packed)]
             lo, hi = unpack_edges(packed)
         first = np.concatenate([lo, hi])
         second = np.concatenate([hi, lo])

@@ -10,7 +10,8 @@ tier="approx")``, never a silently wrong exact-looking number.
 Two models, both deterministic per graph fingerprint:
 
 * ``"doulion"`` — Tsourakakis' coin-flip sparsifier; error bound from
-  the binomial plug-in analysis (:attr:`DoulionResult.error_bound`);
+  the two-term plug-in variance, binomial plus edge-sharing covariance
+  (:attr:`DoulionResult.error_bound`);
 * ``"birthday"`` — the Jha–Seshadhri–Pinar streaming estimator; bound
   from the closed-wedge binomial term.
 

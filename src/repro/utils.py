@@ -42,6 +42,15 @@ def as_int_array(a, dtype) -> np.ndarray:
     return arr
 
 
+def boundary_mask(sorted_arr: np.ndarray) -> np.ndarray:
+    """Mask selecting the first element of each run in a sorted array
+    (``np.unique`` of a sorted input, without the sort or the copy)."""
+    mask = np.empty(len(sorted_arr), dtype=bool)
+    mask[:1] = True
+    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=mask[1:])
+    return mask
+
+
 def human_bytes(n: int) -> str:
     """Format a byte count for log/table output (e.g. ``1.5 GiB``)."""
     value = float(n)

@@ -1,11 +1,18 @@
 """Unit tests for the approximate counters (Section V related work)."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu.approx import birthday_paradox_count, doulion_count
+from repro.cpu.approx.doulion import sparsify
+from repro.cpu.forward import forward_count_cpu
 from repro.cpu.matmul import matmul_count
 from repro.errors import ReproError
-from repro.graphs.generators import clique_cover, complete_graph
+from repro.graphs.edgearray import EdgeArray
+from repro.graphs.generators import clique_cover, complete_graph, star_graph
+from repro.serve import TraceConfig, build_graph_pool
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +67,100 @@ class TestDoulion:
         loose = doulion_count(dense_graph, p=0.25, seed=1)
         tight = doulion_count(dense_graph, p=0.75, seed=1)
         assert tight.relative_error_bound < loose.relative_error_bound
+
+
+def _edge_pair_oracle(graph: EdgeArray) -> int:
+    """Σ_e C(t_e, 2) with t_e read off ``(A @ A) ∘ A`` (each edge twice)."""
+    n = graph.num_nodes
+    a = sp.csr_matrix((np.ones(graph.num_arcs, np.int64),
+                       (graph.first, graph.second)), shape=(n, n))
+    t_e = (a @ a).multiply(a).tocoo().data
+    return int((t_e * (t_e - 1) // 2).sum()) // 2
+
+
+def _check_against_oracles(graph: EdgeArray, p: float, seed: int) -> None:
+    res = doulion_count(graph, p=p, seed=seed)
+    sparse = sparsify(graph, p, seed)
+    assert res.kept_edges == sparse.num_edges
+    assert res.sparsified_triangles == forward_count_cpu(sparse).triangles
+    assert res.edge_pair_triangles == _edge_pair_oracle(sparse)
+
+
+def _wheel(rim: int) -> EdgeArray:
+    """Hub 0 joined to every vertex of a ``rim``-cycle: ``rim`` triangles
+    around one hub of degree ``rim``."""
+    ring = np.arange(1, rim + 1)
+    return EdgeArray.from_undirected(
+        np.concatenate([np.zeros(rim, np.int64), ring]),
+        np.concatenate([ring, np.roll(ring, 1)]), num_nodes=rim + 1)
+
+
+@st.composite
+def _graphs(draw, max_nodes=24, max_edges=80):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=max_edges))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    return EdgeArray.from_undirected(u, v, num_nodes=n)
+
+
+class TestDoulionDifferential:
+    """The listing pass against independent oracles of the same
+    sparsified graph: forward counting for S, ``(A @ A) ∘ A`` for R_s."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs(), st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+           st.integers(0, 2**16))
+    def test_hypothesis_graphs(self, graph, p, seed):
+        _check_against_oracles(graph, p, seed)
+
+    @pytest.mark.parametrize("graph", [
+        complete_graph(30),
+        star_graph(300),                  # hub degree >> 32, no triangles
+        _wheel(200),                      # hub degree >> 32, triangles
+        EdgeArray.from_undirected([0, 1, 0], [1, 2, 2], num_nodes=50),
+        EdgeArray.empty(7),
+        EdgeArray.empty(0),
+    ], ids=["k30", "star", "wheel", "isolated", "empty", "no-nodes"])
+    @pytest.mark.parametrize("p", [0.25, 0.9, 1.0])
+    def test_adversarial_graphs(self, graph, p):
+        _check_against_oracles(graph, p, seed=3)
+
+    def test_covariance_term_beyond_4096_nodes(self):
+        # A clique among thousands of isolated vertices: the pair count
+        # must not fall back to 0 on large graphs.
+        k = complete_graph(40)
+        graph = EdgeArray.from_undirected(k.first + 5000, k.second + 5000,
+                                          num_nodes=6000)
+        res = doulion_count(graph, p=0.5, seed=1)
+        assert res.edge_pair_triangles > 0
+        assert res.edge_pair_triangles == _edge_pair_oracle(
+            sparsify(graph, 0.5, 1))
+
+
+#: (sparsified_triangles, edge_pair_triangles, error_bound) of
+#: doulion_count(pool[i], p=0.25, seed=i) on the seed-0 serve pool
+#: (whale last), as computed by the dense A² formulation.
+_SERVE_POOL_PINS = [
+    (38, 48, 1338.8472653742099),
+    (46, 77, 1623.0341955732172),
+    (191, 506, 3939.023229177508),
+    (225, 690, 4537.206188834711),
+    (503, 1835, 7294.473524525262),
+    (1115, 4583, 11428.671313849218),
+]
+
+
+def test_serve_pool_pins():
+    pool = build_graph_pool(TraceConfig(seed=0))
+    got = []
+    for i, graph in enumerate(pool):
+        res = doulion_count(graph, p=0.25, seed=i)
+        got.append((res.sparsified_triangles, res.edge_pair_triangles,
+                    res.error_bound))
+    assert got == _SERVE_POOL_PINS
 
 
 class TestBirthdayParadox:

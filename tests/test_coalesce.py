@@ -1,6 +1,7 @@
 """Unit tests for per-warp transaction coalescing."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.coalesce import coalesce
 
@@ -77,3 +78,27 @@ class TestCoalesce:
         small_pairs = sorted(zip(small.warp_ids.tolist(),
                                  small.line_addrs.tolist()))
         assert big_pairs == small_pairs
+
+
+def _brute_force(warps, addrs, granule):
+    """Sorted distinct ``(warp, line address)`` pairs, one at a time."""
+    return sorted({(int(w), int(a) // granule * granule)
+                   for w, a in zip(warps, addrs)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5000)),
+                min_size=1, max_size=120),
+       st.sampled_from([32, 128]),
+       st.sampled_from([0, 1 << 40]))
+def test_matches_brute_force(lanes, granule, base):
+    """Both paths give exactly the sorted distinct (warp, granule)
+    pairs: small ids take the packed sort (``base == 0``); with warp ids
+    and granules both past 2^32, ``span * warps`` exceeds the 2^62
+    packing bound and the lexsort path runs."""
+    warps = np.array([w for w, _ in lanes], np.int64) + base
+    addrs = np.array([a for _, a in lanes], np.int64) + base
+    batch = coalesce(warps, addrs, granule)
+    got = list(zip(batch.warp_ids.tolist(), batch.line_addrs.tolist()))
+    assert got == _brute_force(warps, addrs, granule)
+    assert batch.lane_requests == len(lanes)
