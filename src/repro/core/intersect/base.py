@@ -43,9 +43,7 @@ class StrategyContext:
 
     Built once per kernel launch by
     :meth:`IntersectionStrategy.prepare`; carries the engine handle,
-    the preprocess buffers, the engine's read function, and a 2·T
-    scratch pair for batched index/lane staging (so the merge step's
-    read batch is allocation-free).
+    the preprocess buffers and the engine's read function.
     """
 
     def __init__(self, engine: SimtEngine, pre: PreprocessResult,
@@ -64,10 +62,6 @@ class StrategyContext:
         self._read: Callable[..., np.ndarray] = engine.read_compacted
         self._ws_shift = engine.warp_size.bit_length() - 1
         self._num_warps = engine.num_warps
-        T = engine.num_threads
-        # Scratch for batched reads (index column, lane column).
-        self.sc_idx = np.empty(2 * T, np.int64)
-        self.sc_lane = np.empty(2 * T, np.int64)
 
     # -------------------------- device loads -------------------------- #
 

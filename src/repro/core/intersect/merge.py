@@ -7,11 +7,14 @@ two merge variants (Section III-D3) are carried by the launch options:
 only the pointer(s) that advanced — landing one past the end on
 exhausted lists, which the preprocess pad slot absorbs.
 
-Bit-identity contract: the loads this strategy issues — their indices,
-lanes, per-tick grouping and order — are the ones
-:mod:`repro.gpusim.reference` re-derives per scalar thread, and every
-cache/coalescing counter pinned in ``tests/golden_runtime_counters.json``
-depends on them.  Treat any edit here as a counter-breaking change.
+Bit-identity contract: the loads this strategy issues — the multiset
+of (index, lane) pairs of each engine call, and how calls group into
+ticks — are the ones :mod:`repro.gpusim.reference` re-derives per scalar
+thread, and every cache/coalescing counter pinned in
+``tests/golden_runtime_counters.json`` depends on them.  The order of
+the pairs within one call does not matter: the memory model consumes
+each call as a multiset.  Treat any other edit here as a
+counter-breaking change.
 """
 
 from __future__ import annotations
@@ -79,27 +82,27 @@ class MergeStrategy(IntersectionStrategy):
         ge = a >= b
         eq = le & ge
         count += eq
-        if on_match is not None and eq.any():
-            idx = np.flatnonzero(eq)
-            on_match(idx, a[idx])
+        matched = np.flatnonzero(eq)
+        if on_match is not None and len(matched):
+            on_match(matched, a[matched])
         uit += le
         vit += ge
         if ctx.final_variant:
             # Final variant: read only what advanced — one load per
-            # iteration unless a triangle was found (pad slot absorbs
-            # the one-past-the-end read, Section III-D3).  Staged via
-            # the context scratch: no per-tick concatenate allocations.
-            il = np.flatnonzero(le)
-            ig = np.flatnonzero(ge)
-            k1 = len(il)
-            kk = k1 + len(ig)
-            np.take(uit, il, out=ctx.sc_idx[:k1])
-            np.take(vit, ig, out=ctx.sc_idx[k1:kk])
-            np.take(lanes, il, out=ctx.sc_lane[:k1])
-            np.take(lanes, ig, out=ctx.sc_lane[k1:kk])
-            vals = ctx.adj_load(ctx.sc_idx[:kk], ctx.sc_lane[:kk])
-            a[il] = vals[:k1]
-            b[ig] = vals[k1:kk]
+            # iteration (the u side where a <= b, else the v side), plus
+            # the v side of each lane that found a triangle; the pad
+            # slot absorbs the one-past-the-end read (Section III-D3).
+            idx = np.where(le, uit, vit)
+            lns = lanes
+            if len(matched):
+                idx = np.concatenate([idx, vit[matched]])
+                lns = np.concatenate([lanes, lanes[matched]])
+            vals = ctx.adj_load(idx, lns)
+            head = vals[:n]
+            np.copyto(a, head, where=le)
+            np.copyto(b, head, where=ge)
+            if len(matched):
+                b[matched] = vals[n:]
         still = uit < uend
         still &= vit < vend
         return still

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import scipy.sparse as sp
-
 from repro.graphs.edgearray import EdgeArray
 from repro.graphs.stats import adjacency_matrix
 

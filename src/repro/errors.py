@@ -116,6 +116,12 @@ class ForeignFreeError(InvalidFreeError):
             f"(foreign or stale handle)")
 
 
+class CacheWorkerError(DeviceError):
+    """The process running the engine's cache model died, broke its
+    stream or stopped answering; the counters of every engine it served
+    are lost.  See :mod:`repro.gpusim.cachestream`."""
+
+
 class SanitizerError(DeviceError):
     """Base class of strict-mode sanitizer failures.
 

@@ -11,6 +11,8 @@ hardware with a warp-lockstep SIMT simulator (see DESIGN.md §2):
 * :mod:`~repro.gpusim.cache` / :mod:`~repro.gpusim.coalesce` — per-SM
   read-only cache (set-associative LRU) and per-warp transaction
   coalescing, which together produce the Table II counters;
+* :mod:`~repro.gpusim.cachestream` — runs each engine's cache model
+  in-process or in a worker process on another core;
 * :mod:`~repro.gpusim.simt` — the lockstep execution engine kernels run
   on, with divergence and instruction accounting;
 * :mod:`~repro.gpusim.reference` — a scalar, one-thread-at-a-time

@@ -32,11 +32,15 @@ rate" column; the miss count × line size is the DRAM traffic behind the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.utils import boundary_mask
+from repro.utils import boundary_mask, pow2_shift
+
+if TYPE_CHECKING:
+    from repro.gpusim.device import DeviceSpec
 
 
 @dataclass
@@ -61,6 +65,15 @@ class CacheStats:
         self.misses += other.misses
 
 
+def _num_sets(capacity_bytes: int, line_bytes: int, ways: int) -> int:
+    sets = capacity_bytes // (line_bytes * ways)
+    if sets < 1:
+        raise ReproError(
+            f"cache too small: {capacity_bytes} B with {ways}-way × "
+            f"{line_bytes} B lines leaves no sets")
+    return sets
+
+
 class CacheArray:
     """``num_instances`` independent set-associative LRU caches.
 
@@ -81,11 +94,7 @@ class CacheArray:
                  line_bytes: int, ways: int):
         if num_instances < 1:
             raise ReproError(f"need >= 1 cache instance, got {num_instances}")
-        sets = capacity_bytes // (line_bytes * ways)
-        if sets < 1:
-            raise ReproError(
-                f"cache too small: {capacity_bytes} B with {ways}-way × "
-                f"{line_bytes} B lines leaves no sets")
+        sets = _num_sets(capacity_bytes, line_bytes, ways)
         self.num_instances = num_instances
         self.line_bytes = line_bytes
         self.ways = ways
@@ -307,3 +316,129 @@ class CacheArray:
     def __repr__(self) -> str:
         return (f"CacheArray(instances={self.num_instances}, sets={self.sets}, "
                 f"ways={self.ways}, line={self.line_bytes}B)")
+
+
+#: The six counters :meth:`CacheModel.apply` advances, in the order
+#: :meth:`CacheModel.sync` returns them (``KernelReport`` field names).
+COUNTER_NAMES = ("l1_hits", "l1_misses", "l2_hits", "l2_misses",
+                 "l2_bytes", "dram_bytes")
+
+
+def cache_geometry(device: DeviceSpec, use_l1: bool) -> tuple[int, ...]:
+    """:class:`CacheModel` arguments for ``device`` (a
+    :class:`~repro.gpusim.device.DeviceSpec`), as plain ints; raises
+    :class:`ReproError` here, not where the model is built, if a cache
+    level has no sets."""
+    if use_l1:
+        _num_sets(device.l1_bytes, device.line_bytes, device.l1_ways)
+    _num_sets(device.l2_bytes, device.line_bytes, device.l2_ways)
+    return (device.num_sms, device.l1_bytes, device.l1_ways,
+            device.l2_bytes, device.l2_ways, device.line_bytes,
+            device.sector_bytes, int(use_l1))
+
+
+class CacheModel:
+    """One engine's cache timing model: per-SM L1 → device L2 → DRAM.
+
+    The engine reduces every read call to its *transaction keys* and
+    hands them to :meth:`apply`; everything after coalescing happens
+    here.  With the L1 on, a key is ``line << sm_bits | sm``, one per
+    (warp, line) transaction, sorted: distinct (SM, line) pairs probe
+    the L1, duplicates across warps of one SM count as hits (MSHR
+    merging), and the lines that missed are deduplicated across SMs
+    before they probe the L2.  Without an L1 a key is a sector id, one
+    per (warp, sector) transaction, sorted: sectors of one line collapse
+    to one L2 probe.  The model feeds only counters, never the kernel's
+    values, so it may run in another process
+    (:mod:`repro.gpusim.cachestream`), built there from the plain ints
+    of :func:`cache_geometry`.
+
+    Counters accumulate until :meth:`sync` hands them over (as deltas,
+    in :data:`COUNTER_NAMES` order) and zeroes them.
+    """
+
+    def __init__(self, num_sms: int, l1_bytes: int, l1_ways: int,
+                 l2_bytes: int, l2_ways: int, line_bytes: int,
+                 sector_bytes: int, use_l1: bool):
+        self.l1 = (CacheArray(num_sms, l1_bytes, line_bytes, l1_ways)
+                   if use_l1 else None)
+        self.l2 = CacheArray(1, l2_bytes, line_bytes, l2_ways)
+        self.line_bytes = line_bytes
+        self.sector_bytes = sector_bytes
+        self._sm_bits = max(1, (num_sms - 1).bit_length())
+        self._sm_mask = (1 << self._sm_bits) - 1
+        self._l1_set_shift = (pow2_shift(self.l1.sets)
+                              if self.l1 is not None else None)
+        self._l2_set_shift = pow2_shift(self.l2.sets)
+        line_shift = pow2_shift(line_bytes)
+        sector_shift = pow2_shift(sector_bytes)
+        self._sector_to_line = (line_shift - sector_shift
+                                if line_shift is not None
+                                and sector_shift is not None else None)
+        self._counts = [0] * len(COUNTER_NAMES)
+
+    def _l2_probe(self, lines: np.ndarray, requests: int) -> int:
+        """Probe the L2 with ``requests`` line requests whose line ids,
+        sorted, are ``lines``; returns the hit count."""
+        uniq = lines[boundary_mask(lines)] if len(lines) > 1 else lines
+        l2 = self.l2
+        l2_set = (uniq & (l2.sets - 1) if self._l2_set_shift is not None
+                  else uniq % l2.sets)
+        extra = requests - len(uniq)
+        hit = l2.probe_unique(l2_set, uniq, extra_hits=extra)
+        return extra + int(np.count_nonzero(hit))
+
+    def apply(self, keys: np.ndarray) -> None:
+        """Run one read call's sorted transaction keys through the caches."""
+        n_trans = len(keys)
+        if not n_trans:
+            return
+        c = self._counts
+        l1 = self.l1
+        if l1 is not None:
+            lb = self.line_bytes
+            upair = keys[boundary_mask(keys)] if n_trans > 1 else keys
+            u_line = upair >> self._sm_bits
+            if self._l1_set_shift is not None:
+                l1_set = ((u_line & (l1.sets - 1))
+                          + ((upair & self._sm_mask) << self._l1_set_shift))
+            else:
+                l1_set = u_line % l1.sets + (upair & self._sm_mask) * l1.sets
+            extra = n_trans - len(u_line)
+            hit = l1.probe_unique(l1_set, u_line, extra_hits=extra)
+            n_hit = extra + int(np.count_nonzero(hit))
+            n_miss = n_trans - n_hit
+            c[0] += n_hit
+            c[1] += n_miss
+            if n_miss:
+                # Distinct SMs missing one line fill it once; the
+                # extras count as L2 hits.  Miss lines stay line-sorted.
+                hit2 = self._l2_probe(u_line[~hit], n_miss)
+                c[2] += hit2
+                c[3] += n_miss - hit2
+                c[4] += n_miss * lb
+                c[5] += (n_miss - hit2) * lb
+        else:
+            # Uncached global loads: sector-granular, straight to L2;
+            # sector → line keeps the keys sorted.
+            sb = self.sector_bytes
+            if self._sector_to_line is not None:
+                lines = keys >> self._sector_to_line
+            else:
+                lines = keys * sb // self.line_bytes
+            hit2 = self._l2_probe(lines, n_trans)
+            c[2] += hit2
+            c[3] += n_trans - hit2
+            c[4] += n_trans * sb
+            c[5] += (n_trans - hit2) * sb
+
+    def sync(self, caches: bool = False) -> tuple[tuple[int, ...], float, int]:
+        """Hand over the counter deltas since the last sync.
+
+        Returns ``(deltas, busy_seconds, calls)``; in-process there is
+        no separate busy time to report, and :attr:`l1`/:attr:`l2` are
+        always current, so ``caches`` has nothing to fetch.
+        """
+        deltas = tuple(self._counts)
+        self._counts = [0] * len(COUNTER_NAMES)
+        return deltas, 0.0, 0

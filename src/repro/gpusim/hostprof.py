@@ -15,8 +15,12 @@ per-phase wall-clock in the unified vocabulary every pipeline shares
   ``search``, ``probe``) — the kernel tick sections, subsets of
   ``kernel``;
 * ``cache-model`` — :meth:`SimtEngine.read_compacted`/``write``/
-  ``atomic_add`` (address math, coalescing, cache probes), a subset of
-  the above;
+  ``atomic_add`` in the caller (address math, coalescing, and the cache
+  probes when they run in-process), a subset of the above;
+* ``cache-worker`` — seconds the cache-model worker process
+  (:mod:`repro.gpusim.cachestream`) spent applying this run's reads,
+  reported at each sync; it runs beside the caller, so it is a subset
+  that never adds to the total;
 * ``accounting`` — :meth:`SimtEngine.end_step_warps` bookkeeping, also
   a subset of the kernel sections.
 
@@ -82,11 +86,12 @@ class HostProfiler:
 
 #: Phases measured *inside* another phase (double counted by a naive
 #: sum, hence excluded from :attr:`HostProfiler.total_seconds`): the
-#: kernel tick sections nest inside the runtime's ``kernel`` phase, and
-#: the engine subsets nest inside the tick sections.  The step sections
+#: kernel tick sections nest inside the runtime's ``kernel`` phase, the
+#: engine subsets nest inside the tick sections, and ``cache-worker``
+#: is another process's time overlapping them.  The step sections
 #: are named by the intersection strategies, which register them here
 #: (:func:`register_subset_phase`) when they register themselves.
-_SUBSET_PHASES = {"setup", "cache-model", "accounting"}
+_SUBSET_PHASES = {"setup", "cache-model", "cache-worker", "accounting"}
 
 
 def register_subset_phase(name: str) -> None:

@@ -29,12 +29,13 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import InvalidLaunchError, KernelFault
-from repro.gpusim.cache import CacheArray
+from repro.gpusim.cache import COUNTER_NAMES, CacheArray
+from repro.gpusim.cachestream import open_cache_model
 from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.hostprof import current_host_profiler
 from repro.gpusim.memory import DeviceBuffer
-from repro.utils import boundary_mask
+from repro.utils import boundary_mask, pow2_shift
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -220,35 +221,30 @@ class SimtEngine:
         block_of_warp = np.arange(self.num_warps) // warps_per_block
         self.warp_sm = (block_of_warp % device.num_sms).astype(np.int64)
 
-        l1_enabled = use_ro_cache or device.caches_global_loads_by_default
-        self.l1 = (CacheArray(device.num_sms, device.l1_bytes,
-                              device.line_bytes, device.l1_ways)
-                   if l1_enabled else None)
-        self.l2 = CacheArray(1, device.l2_bytes, device.line_bytes,
-                             device.l2_ways)
-        self.report = KernelReport(device=device, launch=launch)
-        self.report.sm_instruction_slots = np.zeros(device.num_sms, dtype=np.int64)
+        # The cache model (L1 → L2 → DRAM counters) runs in-process or
+        # in a worker (:mod:`repro.gpusim.cachestream`); ``report``,
+        # ``l1`` and ``l2`` are its sync points.
+        self._cached = use_ro_cache or device.caches_global_loads_by_default
+        self._model = open_cache_model(device, self._cached)
+        self._apply = self._model.apply
+        self._report = KernelReport(device=device, launch=launch)
+        self._report.sm_instruction_slots = np.zeros(device.num_sms,
+                                                     dtype=np.int64)
         # Packed-key geometry for :meth:`read_compacted`: one sorted
-        # int64 key (line, sm, warp) yields coalescing, L1 dedupe and
-        # L2 dedupe in a single pass.  ``_smw[w]`` packs a warp's
-        # (sm, warp) low bits so key construction is one gather + add.
+        # int64 key (line, sm, warp) yields the transactions, and the
+        # keys with the warp bits shifted out — (line, sm) — are what
+        # the cache model dedupes per level.  ``_smw[w]`` packs a
+        # warp's (sm, warp) low bits so key construction is one
+        # gather + add.
         self._warp_bits = max(1, (self.num_warps - 1).bit_length())
         self._sm_bits = max(1, (device.num_sms - 1).bit_length())
-        self._sm_mask = (1 << self._sm_bits) - 1
         self._key_shift = self._warp_bits + self._sm_bits
         self._smw = ((self.warp_sm << self._warp_bits)
                      | np.arange(self.num_warps, dtype=np.int64))
-        # Power-of-two strides become shifts in the fast path (NumPy's
-        # floor_divide is several times slower per element); ``None``
-        # marks a non-power-of-two geometry that keeps the division.
-        def _shift_of(x: int) -> int | None:
-            return x.bit_length() - 1 if x and not (x & (x - 1)) else None
-        self._ws_shift = _shift_of(warp)
-        self._line_shift = _shift_of(device.line_bytes)
-        self._sector_shift = _shift_of(device.sector_bytes)
-        self._l1_set_shift = (_shift_of(self.l1.sets)
-                              if self.l1 is not None else None)
-        self._l2_set_shift = _shift_of(self.l2.sets)
+        # Power-of-two strides become shifts in the fast path.
+        self._ws_shift = pow2_shift(warp)
+        self._line_shift = pow2_shift(device.line_bytes)
+        self._sector_shift = pow2_shift(device.sector_bytes)
         # Largest possible packed key per buffer end address decides
         # whether the coalescing sort may run on int32 (half the
         # bandwidth of the int64 build; NumPy sorts scale with width).
@@ -256,6 +252,43 @@ class SimtEngine:
         #: ambient host profiler (see :mod:`repro.gpusim.hostprof`);
         #: ``None`` keeps the hot paths hook-free.
         self.host_profiler = current_host_profiler()
+
+    # ------------------------------------------------------------------ #
+    # sync points
+    # ------------------------------------------------------------------ #
+
+    def _sync(self, caches: bool = False) -> None:
+        deltas, busy, calls = self._model.sync(caches)
+        rep = self._report
+        for name, delta in zip(COUNTER_NAMES, deltas):
+            if delta:
+                setattr(rep, name, getattr(rep, name) + delta)
+        if busy and self.host_profiler is not None:
+            self.host_profiler.add("cache-worker", busy, calls)
+
+    @property
+    def report(self) -> KernelReport:
+        """The counters of every call so far (waits for the cache model)."""
+        self._sync()
+        return self._report
+
+    @property
+    def l1(self) -> CacheArray | None:
+        """The per-SM read-only caches as of the last call, or ``None``
+        when loads bypass them.  A worker-side model is copied back, so
+        the object is a snapshot."""
+        if not self._cached:
+            return None
+        self._sync(caches=True)
+        return self._model.l1
+
+    @property
+    def l2(self) -> CacheArray:
+        """The device L2 as of the last call (a snapshot, like ``l1``)."""
+        self._sync(caches=True)
+        l2 = self._model.l2
+        assert l2 is not None        # fetched by the sync
+        return l2
 
     # ------------------------------------------------------------------ #
     # memory
@@ -273,11 +306,14 @@ class SimtEngine:
         pairs probe the per-SM cache, and duplicates across warps of
         one SM count as hits (MSHR merging); L1 misses are deduplicated
         across SMs before they probe L2.  Uncached loads (no L1) go to
-        L2 at sector granularity.  The whole chain is fused into one
-        packed-key sort plus boundary passes, and every stage is
-        order-independent over the request multiset, so the caller may
-        present lanes in any order — which is what lets the driver keep
-        its registers in worklist order.
+        L2 at sector granularity.  Here one packed-key sort plus a
+        boundary pass gives the transactions; their sorted keys go to
+        the cache model (:meth:`CacheModel.apply
+        <repro.gpusim.cache.CacheModel.apply>`), which may run in
+        another process.  Every stage is order-independent over the
+        request multiset, so the caller may present lanes in any
+        order — which is what lets the driver keep its registers in
+        worklist order.
         """
         indices = np.asarray(indices)
         n = len(indices)
@@ -298,13 +334,21 @@ class SimtEngine:
                     f"out-of-bounds read from {buf.name!r}: index range "
                     f"[{lo}, {hi}] outside [0, {len(buf.data)})")
         values = buf.data[indices]
-        rep = self.report
+        rep = self._report
         rep.lane_reads += n
 
         if n == 1:
             # Scalar fast path — skewed tails issue thousands of 1-lane
-            # reads where the vector machinery is pure dispatch overhead.
-            self._read_one(buf, int(indices[0]), int(thread_ids[0]))
+            # reads where the vector key build is pure dispatch overhead.
+            rep.transactions += 1
+            addr = buf.device_addr + int(indices[0]) * buf.itemsize
+            if self._cached:
+                tid = int(thread_ids[0])
+                sm = int(self.warp_sm[tid // self.warp_size])
+                key = (addr // self.device.line_bytes) << self._sm_bits | sm
+            else:
+                key = addr // self.device.sector_bytes
+            self._apply(np.array([key], dtype=np.int64))
             if prof is not None:
                 prof.add("cache-model", perf_counter() - t0)
             return values
@@ -314,141 +358,39 @@ class SimtEngine:
             warp_ids = warp_ids >> self._ws_shift
         else:
             warp_ids = warp_ids // self.warp_size
-        if self.l1 is not None:
-            lb = self.device.line_bytes
-            # One in-place sort of (line, sm, warp) gives every dedupe
-            # level as a boundary pass: unique keys = transactions,
-            # unique (line, sm) prefixes = L1 probes, and the L1 miss
-            # lines come out line-sorted so the L2 dedupe is sortless.
-            # Built in place with shifts where strides allow.
-            key = indices * buf.itemsize
-            key += buf.device_addr
-            if self._line_shift is not None:
-                key >>= self._line_shift
-            else:
-                key //= lb
-            key <<= self._key_shift
-            key += self._smw[warp_ids]
-            if n >= 1024 and ((((buf.device_addr + buf.nbytes) // lb)
-                               << self._key_shift) + self._smw_max
-                              < _INT32_MAX):
-                # Bulk reads: the sort dominates, and it scales with key
-                # width — one downcast pass buys int32 sorting.
-                key = key.astype(np.int32)
-            key.sort()
-            pu = key[boundary_mask(key)] >> self._warp_bits
-            n_trans = len(pu)
-            rep.transactions += n_trans
-            upair = pu[boundary_mask(pu)]
-            u_line = upair >> self._sm_bits
-            n_uniq = len(u_line)
-            l1 = self.l1
-            if self._l1_set_shift is not None:
-                l1_set = ((u_line & (l1.sets - 1))
-                          + ((upair & self._sm_mask) << self._l1_set_shift))
-            else:
-                l1_set = u_line % l1.sets + (upair & self._sm_mask) * l1.sets
-            hit = l1.probe_unique(l1_set, u_line,
-                                  extra_hits=n_trans - n_uniq)
-            n_hit = (n_trans - n_uniq) + int(np.count_nonzero(hit))
-            rep.l1_hits += n_hit
-            n_miss = n_trans - n_hit
-            rep.l1_misses += n_miss
-            if n_miss:
-                # L2 on the missing lines; distinct SMs missing one
-                # line fill it once (the extras count as hits).
-                ml = u_line[~hit]
-                uml = ml[boundary_mask(ml)]
-                n_uniq2 = len(uml)
-                l2 = self.l2
-                l2_set = (uml & (l2.sets - 1)
-                          if self._l2_set_shift is not None
-                          else uml % l2.sets)
-                hit2 = l2.probe_unique(l2_set, uml,
-                                       extra_hits=n_miss - n_uniq2)
-                n_hit2 = (n_miss - n_uniq2) + int(np.count_nonzero(hit2))
-                rep.l2_hits += n_hit2
-                rep.l2_misses += n_miss - n_hit2
-                rep.l2_bytes += n_miss * lb
-                rep.dram_bytes += (n_miss - n_hit2) * lb
+        # Packed (line, sm, warp) keys with the L1 on, (sector, warp)
+        # keys without; built in place with shifts where strides allow.
+        if self._cached:
+            gran, shift = self.device.line_bytes, self._line_shift
+            low_bits, low, low_max = self._key_shift, self._smw[warp_ids], \
+                self._smw_max
         else:
-            # Uncached global loads: sector-granular, straight to L2.
-            sb = self.device.sector_bytes
-            key = indices * buf.itemsize
-            key += buf.device_addr
-            if self._sector_shift is not None:
-                key >>= self._sector_shift
-            else:
-                key //= sb
-            key <<= self._warp_bits
-            key += warp_ids
-            if n >= 1024 and ((((buf.device_addr + buf.nbytes) // sb)
-                               << self._warp_bits) + self.num_warps
-                              < _INT32_MAX):
-                key = key.astype(np.int32)
-            key.sort()
-            su = key[boundary_mask(key)] >> self._warp_bits
-            n_trans = len(su)
-            rep.transactions += n_trans
-            # Sector → L2 line (sorted stays sorted); distinct sectors
-            # of one line collapse to one probe, extras count as hits.
-            if (self._sector_shift is not None
-                    and self._line_shift is not None):
-                l2_line = su >> (self._line_shift - self._sector_shift)
-            else:
-                l2_line = su * sb // self.device.line_bytes
-            ul = l2_line[boundary_mask(l2_line)]
-            n_uniq2 = len(ul)
-            l2 = self.l2
-            l2_set = (ul & (l2.sets - 1)
-                      if self._l2_set_shift is not None
-                      else ul % l2.sets)
-            hit2 = l2.probe_unique(l2_set, ul,
-                                   extra_hits=n_trans - n_uniq2)
-            n_hit2 = (n_trans - n_uniq2) + int(np.count_nonzero(hit2))
-            rep.l2_hits += n_hit2
-            rep.l2_misses += n_trans - n_hit2
-            rep.l2_bytes += n_trans * sb
-            rep.dram_bytes += (n_trans - n_hit2) * sb
+            gran, shift = self.device.sector_bytes, self._sector_shift
+            low_bits, low, low_max = self._warp_bits, warp_ids, \
+                self.num_warps
+        key = indices * buf.itemsize
+        key += buf.device_addr
+        if shift is not None:
+            key >>= shift
+        else:
+            key //= gran
+        key <<= low_bits
+        key += low
+        if n >= 1024 and ((((buf.device_addr + buf.nbytes) // gran)
+                           << low_bits) + low_max < _INT32_MAX):
+            # Bulk reads: the sort dominates, and it scales with key
+            # width — one downcast pass buys int32 sorting.
+            key = key.astype(np.int32)
+        key.sort()
+        # Unique keys are the transactions; without the warp bits they
+        # are the sorted (line, sm) pairs / sectors the caches consume.
+        trans = key[boundary_mask(key)]
+        trans >>= self._warp_bits
+        rep.transactions += len(trans)
+        self._apply(trans)
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
         return values
-
-    def _read_one(self, buf: DeviceBuffer, index: int, thread_id: int) -> None:
-        """Memory-model bookkeeping of a single-lane read (scalar path of
-        :meth:`read_compacted` — same counters, same cache evolution)."""
-        rep = self.report
-        rep.transactions += 1
-        addr = buf.device_addr + index * buf.itemsize
-        l2 = self.l2
-        if self.l1 is not None:
-            lb = self.device.line_bytes
-            line = addr // lb
-            sm = int(self.warp_sm[thread_id // self.warp_size])
-            l1 = self.l1
-            arr = np.array([line], dtype=np.int64)
-            if l1.probe_unique(np.array([line % l1.sets + sm * l1.sets]),
-                               arr)[0]:
-                rep.l1_hits += 1
-                return
-            rep.l1_misses += 1
-            if l2.probe_unique(np.array([line % l2.sets]), arr)[0]:
-                rep.l2_hits += 1
-            else:
-                rep.l2_misses += 1
-                rep.dram_bytes += lb
-            rep.l2_bytes += lb
-        else:
-            sb = self.device.sector_bytes
-            sector = addr // sb
-            line = sector * sb // self.device.line_bytes
-            if l2.probe_unique(np.array([line % l2.sets]),
-                               np.array([line], dtype=np.int64))[0]:
-                rep.l2_hits += 1
-            else:
-                rep.l2_misses += 1
-                rep.dram_bytes += sb
-            rep.l2_bytes += sb
 
     def write(self, buf: DeviceBuffer, indices: np.ndarray,
               values: np.ndarray, thread_ids: np.ndarray) -> None:
@@ -474,8 +416,8 @@ class SimtEngine:
         addrs = buf.addresses(indices)
         warp_ids = np.asarray(thread_ids) // self.warp_size
         batch = coalesce(warp_ids, addrs, self.device.sector_bytes)
-        self.report.transactions += batch.transactions
-        self.report.dram_bytes += batch.transactions * self.device.sector_bytes
+        self._report.transactions += batch.transactions
+        self._report.dram_bytes += batch.transactions * self.device.sector_bytes
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
 
@@ -511,9 +453,10 @@ class SimtEngine:
         # granularity within the warp, sectors toward L2.
         batch = coalesce(warp_ids, addrs, buf.itemsize)
         sectors = coalesce(warp_ids, addrs, self.device.sector_bytes)
-        self.report.transactions += batch.transactions
-        self.report.l2_bytes += 2 * sectors.transactions * self.device.sector_bytes
-        self.report.dram_bytes += sectors.transactions * self.device.sector_bytes
+        rep = self._report
+        rep.transactions += batch.transactions
+        rep.l2_bytes += 2 * sectors.transactions * self.device.sector_bytes
+        rep.dram_bytes += sectors.transactions * self.device.sector_bytes
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
 
@@ -538,7 +481,7 @@ class SimtEngine:
             return
         prof = self.host_profiler
         t0 = perf_counter() if prof is not None else 0.0
-        rep = self.report
+        rep = self._report
         rep.warp_steps[kind] = rep.warp_steps.get(kind, 0) + n_warps
         rep.instruction_slots += n_warps * instructions
         rep.total_warp_steps += n_warps

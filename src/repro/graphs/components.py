@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from repro.graphs.edgearray import EdgeArray
 from repro.types import VERTEX_DTYPE
@@ -35,6 +33,9 @@ class ComponentInfo:
 
 def connected_components(graph: EdgeArray) -> ComponentInfo:
     """Label the connected components (isolated vertices count too)."""
+    import scipy.sparse as sp    # SciPy loads on first use, not on import
+    from scipy.sparse import csgraph
+
     n = graph.num_nodes
     if n == 0:
         return ComponentInfo(0, np.zeros(0, np.int64), np.zeros(0, np.int64))

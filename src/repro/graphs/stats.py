@@ -14,15 +14,20 @@ the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.edgearray import EdgeArray
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def adjacency_matrix(graph: EdgeArray) -> sp.csr_matrix:
     """The symmetric 0/1 adjacency matrix as ``scipy.sparse.csr_matrix``."""
+    import scipy.sparse as sp    # only the algebraic paths need SciPy
+
     n = graph.num_nodes
     data = np.ones(graph.num_arcs, dtype=np.int64)
     return sp.csr_matrix((data, (graph.first, graph.second)), shape=(n, n))

@@ -51,6 +51,14 @@ def boundary_mask(sorted_arr: np.ndarray) -> np.ndarray:
     return mask
 
 
+def pow2_shift(x: int) -> int | None:
+    """``log2(x)`` when ``x`` is a power of two, else ``None`` — lets a
+    hot path turn a stride division into a shift (NumPy's floor_divide
+    is several times slower per element) and keep the division for
+    other geometries."""
+    return x.bit_length() - 1 if x and not (x & (x - 1)) else None
+
+
 def human_bytes(n: int) -> str:
     """Format a byte count for log/table output (e.g. ``1.5 GiB``)."""
     value = float(n)

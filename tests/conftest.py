@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro
+from repro.gpusim import cachestream
 from repro.gpusim.device import GTX_980, DeviceSpec
 from repro.graphs.edgearray import EdgeArray
 from repro.graphs.generators import (barabasi_albert, complete_graph,
@@ -114,3 +116,41 @@ def expected_triangles(graph: EdgeArray) -> int:
 @pytest.fixture
 def oracle():
     return expected_triangles
+
+
+#: Where an engine's cache model runs (see :mod:`repro.gpusim.cachestream`).
+TRANSPORTS = ("inline", "worker")
+
+
+@contextmanager
+def forced_transport(kind: str):
+    """Engines built inside the block run their cache model in-process
+    (``"inline"``) or in the worker process (``"worker"``), whatever the
+    host's core count."""
+    saved = cachestream.worker_allowed
+    cachestream.worker_allowed = lambda: kind == "worker"
+    try:
+        yield
+    finally:
+        cachestream.worker_allowed = saved
+
+
+@pytest.fixture(params=TRANSPORTS)
+def cache_transport(request):
+    """Parametrize a test over both cache-model transports."""
+    with forced_transport(request.param):
+        yield request.param
+
+
+def assert_same_caches(a, b) -> None:
+    """Two engines' L1 and L2 hold the same lines, stamps, clock and
+    statistics (after a sync, whichever transport each one used)."""
+    for level in ("l1", "l2"):
+        ca, cb = getattr(a, level), getattr(b, level)
+        if ca is None or cb is None:
+            assert ca is cb, level
+            continue
+        assert np.array_equal(ca._tags, cb._tags), level
+        assert np.array_equal(ca._stamp, cb._stamp), level
+        assert ca._clock == cb._clock, level
+        assert ca.stats == cb.stats, level

@@ -16,6 +16,11 @@ The probing strategies (binary_search, hash) and the warp-intersect
 comparator share the driver and the memory model with merge but have no
 scalar model: their counters are pinned by the committed golden cells
 and their counts must equal the CPU forward algorithm.
+
+Every reference comparison and golden cell runs the engine twice, with
+its cache model in-process and in the worker process
+(:mod:`repro.gpusim.cachestream`): both must give the same counters and,
+after the sync, the same L1/L2 tags, stamps and statistics.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.gpusim.simt import LaunchConfig, SimtEngine
 from repro.gpusim.timing import Timeline
 from repro.runtime import LaunchPlan, launch
 from repro.types import COUNT_DTYPE
+from tests.conftest import TRANSPORTS, assert_same_caches, forced_transport
 
 #: Committed counters for the dispatcher matrix (regenerate by running
 #: the loop in TestDispatcherGolden._cell over a fresh checkout).
@@ -58,26 +64,35 @@ def _prepared(graph, options, device):
 
 def _assert_matches_reference(graph, options, device=GTX_980,
                               per_vertex=False, lo=0, hi=None):
-    """Run the engine and the oracle on one launch; every observable
-    must agree.  Returns the reference run."""
-    memory, pre, engine = _prepared(graph, options, device)
-    result = memory.alloc_empty("result", engine.num_threads, COUNT_DTYPE)
-    pv = (memory.alloc("pv", np.zeros(graph.num_nodes, np.int64))
-          if per_vertex else None)
-    run = count_triangles_kernel(engine, pre, options, lo=lo, hi=hi,
-                                 result_buf=result, per_vertex_buf=pv,
-                                 memory=memory)
-    ref = reference_kernel(
-        device, options.launch, node=pre.node,
-        num_arcs=pre.num_forward_arcs, adj=pre.adj, keys=pre.keys,
-        aos=pre.aos, variant=options.merge_variant,
-        use_ro_cache=options.use_readonly_cache, lo=lo, hi=hi,
-        result=result, per_vertex=pv)
-    assert engine.report.counters() == ref.report.counters()
-    assert run.ticks == ref.ticks
-    assert run.thread_counts.tolist() == ref.thread_counts.tolist()
-    if per_vertex:
-        assert pv.data.tolist() == ref.per_vertex.tolist()
+    """Run the engine (under both cache transports) and the oracle on
+    one launch; every observable must agree.  Returns the reference
+    run."""
+    ref = None
+    engines = []
+    for kind in TRANSPORTS:
+        with forced_transport(kind):
+            memory, pre, engine = _prepared(graph, options, device)
+        result = memory.alloc_empty("result", engine.num_threads,
+                                    COUNT_DTYPE)
+        pv = (memory.alloc("pv", np.zeros(graph.num_nodes, np.int64))
+              if per_vertex else None)
+        run = count_triangles_kernel(engine, pre, options, lo=lo, hi=hi,
+                                     result_buf=result, per_vertex_buf=pv,
+                                     memory=memory)
+        if ref is None:
+            ref = reference_kernel(
+                device, options.launch, node=pre.node,
+                num_arcs=pre.num_forward_arcs, adj=pre.adj, keys=pre.keys,
+                aos=pre.aos, variant=options.merge_variant,
+                use_ro_cache=options.use_readonly_cache, lo=lo, hi=hi,
+                result=result, per_vertex=pv)
+        assert engine.report.counters() == ref.report.counters(), kind
+        assert run.ticks == ref.ticks
+        assert run.thread_counts.tolist() == ref.thread_counts.tolist()
+        if per_vertex:
+            assert pv.data.tolist() == ref.per_vertex.tolist()
+        engines.append(engine)
+    assert_same_caches(*engines)
     return ref
 
 
@@ -236,8 +251,10 @@ class TestDispatcherGolden:
     def test_pinned_counters(self, small_rmat, key):
         golden = json.loads(GOLDEN_PATH.read_text())
         kernel, layout, _ = key.split("/")
-        cell = self._cell(small_rmat, kernel, layout == "soa")
-        assert cell == golden[key], key
+        for kind in TRANSPORTS:
+            with forced_transport(kind):
+                cell = self._cell(small_rmat, kernel, layout == "soa")
+            assert cell == golden[key], (key, kind)
 
     def test_local_counts_sum_rule(self, small_rmat):
         golden = json.loads(GOLDEN_PATH.read_text())
