@@ -82,9 +82,10 @@ class MergeStrategy(IntersectionStrategy):
         ge = a >= b
         eq = le & ge
         count += eq
-        matched = np.flatnonzero(eq)
-        if on_match is not None and len(matched):
-            on_match(matched, a[matched])
+        if on_match is not None or ctx.final_variant:
+            matched = np.flatnonzero(eq)
+            if on_match is not None and len(matched):
+                on_match(matched, a[matched])
         uit += le
         vit += ge
         if ctx.final_variant:

@@ -9,21 +9,23 @@ wherever :func:`open_cache_model` put the engine's model:
 
 * **inline** — a :class:`~repro.gpusim.cache.CacheModel` in this
   process, applied call by call.  Used when fewer than two cores are
-  usable (``os.sched_getaffinity``) or the process may not start
-  children (it is daemonic);
+  usable (``os.sched_getaffinity``; hosts without it or without
+  ``os.memfd_create``, that is anything but Linux, always run inline)
+  or the process may not start children (it is daemonic);
 * **worker** — a :class:`RemoteCacheModel` handle.  Each call's keys
   are appended to a one-way stream that one lazily started worker
   process per interpreter applies in order, one model per engine.
 
-The stream is batched (:data:`BATCH_CALLS` calls or
+The worker is a fresh interpreter (``python -c``) that imports only
+this module's package and reads the stream from an inherited pipe: it
+never re-imports the caller's ``__main__``, so scripts need no
+``if __name__ == "__main__"`` guard, and the caller's threads do not
+matter.  The stream is batched (:data:`BATCH_CALLS` calls or
 :data:`BATCH_BYTES` bytes per message, :data:`EAGER_CALLS` while the
-worker idles) and written by a sender thread, whose pipe writes release
-the GIL, so the caller only concatenates.
-Bytes handed to the sender and not yet written are bounded by
-:data:`MAX_IN_FLIGHT`: past it the caller waits (backpressure).  The
-worker is forked when the process has a single OS thread and spawned
-otherwise (forking a threaded process is unsafe, and Python 3.12 warns
-about it); the worker is always started before the sender thread.
+worker idles) and written by the caller itself with non-blocking
+writes.  The pipe is the only buffer: once :data:`PIPE_BYTES` are
+unread the caller waits (backpressure), still draining the replies
+pipe so an abandoned sync cannot wedge the worker.
 
 Sync points are the engine's ``report``, ``l1`` and ``l2`` properties:
 they flush the stream, wait for the worker to reach the sync record and
@@ -38,13 +40,17 @@ from __future__ import annotations
 
 import atexit
 import collections
-import ctypes
+import fcntl
+import mmap
 import multiprocessing
 import os
+import pickle
+import select
 import signal
-import threading
+import subprocess
+import sys
 import weakref
-from multiprocessing.connection import Connection
+from pathlib import Path
 from time import monotonic, perf_counter
 from typing import TYPE_CHECKING
 
@@ -69,18 +75,28 @@ SyncReply = tuple[tuple[int, ...], float, int,
 BATCH_CALLS = 128
 BATCH_BYTES = 256 * 1024
 EAGER_CALLS = 16
-#: Bound on the bytes queued for the sender thread and not yet written
-#: to the pipe.  A message that alone exceeds it is queued only into an
-#: empty queue.
-MAX_IN_FLIGHT = 4 * 1024 * 1024
+#: Capacity asked for the stream pipe (Linux ``F_SETPIPE_SZ``; the
+#: default 64 KB stays if the host refuses).  Written but unread bytes
+#: never exceed it: past it the caller waits for the worker.
+PIPE_BYTES = 1024 * 1024
 #: A sync or a backpressure wait that gets nowhere for this long fails.
 TIMEOUT_S = 300.0
 _POLL_S = 0.05
 
-# Record kinds.  A message is one int64 array: the record count n, n
-# (kind, model id, data length) triples, then every record's data.
+# Record kinds.  A message is one int64 array: its length in words, the
+# record count n, n (kind, model id, data length) triples, then every
+# record's data.  A reply is an 8-byte length and a pickled
+# ``(seq, error, payload)``.
 _KEYS, _OPEN, _CLOSE, _SYNC, _SYNC_CACHES = range(5)
 _NO_DELTAS = (0,) * len(COUNTER_NAMES)
+_WORD = 8
+
+#: Directory holding the ``repro`` package, put first on the worker's
+#: ``sys.path`` so it imports this very copy.
+_SRC = str(Path(__file__).resolve().parents[2])
+_WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from repro.gpusim.cachestream import worker_main; "
+                "worker_main(*map(int, sys.argv[2:]))")
 
 
 class _Slot:
@@ -95,95 +111,116 @@ class _Slot:
         self.error: str | None = None
 
 
-def _serve(stream: Connection, replies: Connection, idle: ctypes.c_bool,
-           inherited: tuple[Connection, ...]) -> None:
-    """Worker main loop: apply the stream's records in order."""
-    for conn in inherited:          # the parent's ends, when forked
-        conn.close()
+def _read_exact(stream, view: memoryview) -> bool:
+    """Fill ``view`` from ``stream``; ``False`` on end of file."""
+    while view:
+        got = stream.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _read_message(stream) -> np.ndarray | None:
+    head = np.empty(1, dtype=np.int64)
+    if not _read_exact(stream, memoryview(head).cast("B")):
+        return None
+    words = np.empty(int(head[0]), dtype=np.int64)
+    words[0] = head[0]
+    if not _read_exact(stream, memoryview(words).cast("B")[_WORD:]):
+        return None
+    return words
+
+
+def worker_main(stream_fd: int, replies_fd: int, idle_fd: int) -> None:
+    """Worker process: apply the stream's records in order until the
+    stream ends (the caller closed it or exited)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    idle = mmap.mmap(idle_fd, 1)
+    os.close(idle_fd)
+    stream = open(stream_fd, "rb", buffering=0)
+    replies = open(replies_fd, "wb")
     slots: dict[int, _Slot] = {}
-    while True:
-        idle.value = True
-        try:
-            words = np.frombuffer(stream.recv_bytes(), dtype=np.int64)
-        except (EOFError, OSError):
-            return
-        idle.value = False
-        n = int(words[0])
-        pos = 1 + 3 * n
-        for kind, mid, length in words[1:pos].reshape(n, 3).tolist():
-            data = words[pos:pos + length]
-            pos += length
-            if kind == _KEYS:
-                slot = slots[mid]
-                if slot.error is not None:
-                    continue
-                t0 = perf_counter()
-                try:
-                    slot.model.apply(data)
-                except Exception as exc:      # reported at the next sync
-                    slot.error = f"{type(exc).__name__}: {exc}"
-                slot.seconds += perf_counter() - t0
-                slot.calls += 1
-            elif kind == _OPEN:
-                slots[mid] = _Slot(data.tolist())
-            elif kind == _CLOSE:
-                del slots[mid]
-            else:
-                seq = int(data[0])
-                got = slots.get(mid)
-                if got is None or got.error is not None:
-                    error = (got.error if got is not None
-                             else f"no cache model {mid}")
-                    replies.send((seq, error, None))
-                    continue
-                deltas, _, _ = got.model.sync()
-                caches = ((got.model.l1, got.model.l2)
-                          if kind == _SYNC_CACHES else None)
-                replies.send((seq, None,
-                              (deltas, got.seconds, got.calls, caches)))
-                got.seconds = 0.0
-                got.calls = 0
 
+    def reply(seq: int, error: str | None, payload) -> None:
+        data = pickle.dumps((seq, error, payload), pickle.HIGHEST_PROTOCOL)
+        replies.write(len(data).to_bytes(_WORD, "little") + data)
+        replies.flush()
 
-def _os_threads() -> int:
     try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _start_method() -> str:
-    if ("fork" in multiprocessing.get_all_start_methods()
-            and _os_threads() == 1):
-        return "fork"
-    return "spawn"
+        while True:
+            idle[0] = 1
+            words = _read_message(stream)
+            if words is None:
+                return
+            idle[0] = 0
+            n = int(words[1])
+            pos = 2 + 3 * n
+            for kind, mid, length in words[2:pos].reshape(n, 3).tolist():
+                data = words[pos:pos + length]
+                pos += length
+                if kind == _KEYS:
+                    slot = slots[mid]
+                    if slot.error is not None:
+                        continue
+                    t0 = perf_counter()
+                    try:
+                        slot.model.apply(data)
+                    except Exception as exc:  # reported at the next sync
+                        slot.error = f"{type(exc).__name__}: {exc}"
+                    slot.seconds += perf_counter() - t0
+                    slot.calls += 1
+                elif kind == _OPEN:
+                    slots[mid] = _Slot(data.tolist())
+                elif kind == _CLOSE:
+                    del slots[mid]
+                else:
+                    seq = int(data[0])
+                    got = slots.get(mid)
+                    if got is None or got.error is not None:
+                        reply(seq, got.error if got is not None
+                              else f"no cache model {mid}", None)
+                        continue
+                    deltas, _, _ = got.model.sync()
+                    caches = ((got.model.l1, got.model.l2)
+                              if kind == _SYNC_CACHES else None)
+                    reply(seq, None, (deltas, got.seconds, got.calls, caches))
+                    got.seconds = 0.0
+                    got.calls = 0
+    except BrokenPipeError:             # the caller closed its end
+        return
 
 
 class Transport:
-    """One worker process, its stream and the sender thread feeding it."""
+    """One worker process and the two pipes to and from it."""
 
     def __init__(self) -> None:
-        ctx = multiprocessing.get_context(_start_method())
-        stream_r, stream_w = ctx.Pipe(duplex=False)
-        replies_r, replies_w = ctx.Pipe(duplex=False)
-        inherited = ((stream_w, replies_r)
-                     if ctx.get_start_method() == "fork" else ())
-        #: set by the worker while it waits for the next message
-        self.idle = ctx.RawValue(ctypes.c_bool, False)
-        self.process = ctx.Process(target=_serve,
-                                   args=(stream_r, replies_w, self.idle,
-                                         inherited),
-                                   name="repro-cache-model", daemon=True)
+        stream_r, stream_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        idle_fd = os.memfd_create("repro-cache-idle")
         try:
-            self.process.start()
+            try:
+                fcntl.fcntl(stream_w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:
+                pass
+            os.ftruncate(idle_fd, 1)
+            #: set by the worker while it waits for the next message
+            self.idle = mmap.mmap(idle_fd, 1)
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_CODE, _SRC,
+                 str(stream_r), str(replies_w), str(idle_fd)],
+                stdin=subprocess.DEVNULL,
+                pass_fds=(stream_r, replies_w, idle_fd))
         except BaseException:
-            stream_w.close()
-            replies_r.close()
+            os.close(stream_w)
+            os.close(replies_r)
             raise
         finally:
-            stream_r.close()
-            replies_w.close()
+            os.close(stream_r)
+            os.close(replies_w)
+            os.close(idle_fd)
+        os.set_blocking(stream_w, False)
+        os.set_blocking(replies_r, False)
         self.pid = os.getpid()
         self._stream = stream_w
         self._replies = replies_r
@@ -197,21 +234,12 @@ class Transport:
         self._bytes = 0
         #: model ids whose handles were collected (appended by finalizers)
         self._closed: collections.deque[int] = collections.deque()
-        self._cond = threading.Condition()
-        self._queue: collections.deque[np.ndarray] = collections.deque()
-        #: bytes queued for the sender and not yet written
-        self.in_flight = 0
-        self.peak_in_flight = 0
+        # Reply bytes read so far, and the reply to the pending sync.
+        self._inbox = bytearray()
+        self._answer: tuple | None = None
         self.error: str | None = None
-        self._closing = False
-        self._sender = threading.Thread(target=self._send_loop,
-                                        name="repro-cache-stream",
-                                        daemon=True)
-        self._sender.start()
         atexit.register(self.close)
 
-    # ------------------------------------------------------------------ #
-    # caller side
     # ------------------------------------------------------------------ #
 
     def open(self, geometry: tuple[int, ...]) -> "RemoteCacheModel":
@@ -223,7 +251,7 @@ class Transport:
         return RemoteCacheModel(self, mid)
 
     def flush(self) -> None:
-        """Queue the message being built (if any) for the sender."""
+        """Write the message being built (if any) to the stream."""
         if self.pid != os.getpid():
             raise CacheWorkerError("a cache model handle was used in a "
                                    "forked child of the process owning it")
@@ -233,129 +261,124 @@ class Transport:
         meta = self._meta
         if not meta:
             return
-        buf = np.concatenate([np.array([len(meta) // 3, *meta],
+        n_words = 2 + len(meta) + sum(len(d) for d in self._data)
+        buf = np.concatenate([np.array([n_words, len(meta) // 3, *meta],
                                        dtype=np.int64), *self._data],
                              dtype=np.int64)
         self._meta = []
         self._data = []
         self._calls = 0
         self._bytes = 0
-        self._submit(buf)
+        self._write(memoryview(buf).cast("B"))
 
     def request(self, mid: int, caches: bool) -> SyncReply:
         """Sync model ``mid``: flush, wait for the worker to reach the
         sync record, return ``(deltas, busy_seconds, calls, caches)``."""
         self._seq += 1
-        seq = self._seq
+        self._answer = None
         self._meta += (_SYNC_CACHES if caches else _SYNC, mid, 1)
-        self._data.append(np.array([seq], dtype=np.int64))
+        self._data.append(np.array([self._seq], dtype=np.int64))
         self.flush()
         deadline = monotonic() + TIMEOUT_S
-        while True:
-            if self._replies.poll(_POLL_S):
-                try:
-                    got, error, payload = self._replies.recv()
-                except (EOFError, OSError):
-                    raise self._fail("the cache-model worker exited") \
-                        from None
-                if got != seq:
-                    continue                # answer to an abandoned sync
-                if error is not None:
-                    raise CacheWorkerError(f"cache model failed: {error}")
-                return payload
+        while self._answer is None:
+            ready, _, _ = select.select([self._replies], [], [], _POLL_S)
+            if ready:
+                self._drain()
+                continue
             self._check()
             if monotonic() > deadline:
                 raise self._fail(f"no answer from the cache-model worker "
                                  f"within {TIMEOUT_S:.0f} s")
+        error, payload = self._answer
+        self._answer = None
+        if error is not None:
+            raise CacheWorkerError(f"cache model failed: {error}")
+        return payload
 
-    def _submit(self, buf: np.ndarray) -> None:
-        size = buf.nbytes
-        deadline = monotonic() + TIMEOUT_S
-        with self._cond:
-            while (self.in_flight and self.in_flight + size > MAX_IN_FLIGHT
-                   and self.error is None):
-                if not self._cond.wait(_POLL_S):
-                    self._check_locked()
-                    if monotonic() > deadline:
-                        self.error = ("the cache-model worker accepted no "
-                                      f"data for {TIMEOUT_S:.0f} s")
-            if self.error is not None:
-                raise CacheWorkerError(self.error)
-            self._queue.append(buf)
-            self.in_flight += size
-            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-            self._cond.notify()
+    def _write(self, view: memoryview) -> None:
+        if self.error is not None:
+            raise CacheWorkerError(self.error)
+        size = len(view)
+        deadline = None
+        try:
+            while True:
+                try:
+                    view = view[os.write(self._stream, view):]
+                except BlockingIOError:
+                    pass
+                except OSError as exc:      # EPIPE: the worker is gone
+                    self._check()
+                    raise self._fail(f"the cache-model stream broke: {exc}") \
+                        from None
+                if not view:
+                    return
+                # The pipe is full: wait for room, reading (and dropping)
+                # replies meanwhile, so a worker blocked on an unread
+                # reply to an abandoned sync gets going again.
+                ready, _, _ = select.select([self._replies], [self._stream],
+                                            [], _POLL_S)
+                if self._replies in ready:
+                    self._drain()
+                elif not ready:
+                    self._check()
+                    if deadline is None:
+                        deadline = monotonic() + TIMEOUT_S
+                    elif monotonic() > deadline:
+                        raise self._fail("the cache-model worker accepted "
+                                         f"no data for {TIMEOUT_S:.0f} s")
+        except BaseException:
+            if self.error is None and 0 < len(view) < size:
+                # Interrupted mid-message: the stream is out of frame.
+                self.error = "a write to the cache-model stream was cut"
+            raise
 
-    def _check_locked(self) -> None:
-        if self.error is None and not self.process.is_alive():
-            self.error = (f"the cache-model worker exited "
-                          f"(exit code {self.process.exitcode})")
+    def _drain(self) -> None:
+        """Read whatever replies have arrived; keep the pending sync's."""
+        try:
+            chunk = os.read(self._replies, 1 << 20)
+        except BlockingIOError:
+            return
+        if not chunk:
+            raise self._fail("the cache-model worker exited")
+        inbox = self._inbox
+        inbox += chunk
+        while len(inbox) >= _WORD:
+            size = int.from_bytes(inbox[:_WORD], "little")
+            if len(inbox) < _WORD + size:
+                break
+            seq, error, payload = pickle.loads(inbox[_WORD:_WORD + size])
+            del inbox[:_WORD + size]
+            if seq == self._seq:        # else: an abandoned sync's
+                self._answer = (error, payload)
 
     def _check(self) -> None:
-        with self._cond:
-            self._check_locked()
-            if self.error is not None:
-                raise CacheWorkerError(self.error)
+        if self.error is None and self.process.poll() is not None:
+            self.error = (f"the cache-model worker exited "
+                          f"(exit code {self.process.returncode})")
+        if self.error is not None:
+            raise CacheWorkerError(self.error)
 
     def _fail(self, message: str) -> CacheWorkerError:
-        with self._cond:
-            if self.error is None:
-                self.error = message
-            self._cond.notify_all()
-            return CacheWorkerError(self.error)
-
-    # ------------------------------------------------------------------ #
-    # sender thread
-    # ------------------------------------------------------------------ #
-
-    def _send_loop(self) -> None:
-        cond = self._cond
-        while True:
-            with cond:
-                while not self._queue and not self._closing:
-                    cond.wait()
-                if not self._queue:
-                    return
-                buf = self._queue[0]
-            try:
-                self._stream.send_bytes(buf)    # releases the GIL
-            except Exception as exc:            # EPIPE, or closed under us
-                with cond:
-                    if self.error is None:
-                        self.error = f"the cache-model stream broke: {exc}"
-                    self._queue.clear()
-                    self.in_flight = 0
-                    cond.notify_all()
-                return
-            with cond:
-                if self._queue and self._queue[0] is buf:
-                    self._queue.popleft()
-                    self.in_flight -= buf.nbytes
-                cond.notify_all()
-
-    # ------------------------------------------------------------------ #
+        if self.error is None:
+            self.error = message
+        return CacheWorkerError(self.error)
 
     def close(self, timeout: float = 2.0) -> None:
-        """Stop the sender and the worker (pending work is dropped)."""
-        if self.pid != os.getpid():
+        """Stop the worker (pending work is dropped)."""
+        if self.pid != os.getpid() or self._stream < 0:
             return
-        with self._cond:
-            self._closing = True
-            self._queue.clear()
-            self.in_flight = 0
-            if self.error is None:
-                self.error = "the cache-model worker was shut down"
-            self._cond.notify_all()
-        self._sender.join(timeout)
-        self._stream.close()
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        if self.process.is_alive():
+        if self.error is None:
+            self.error = "the cache-model worker was shut down"
+        os.close(self._stream)
+        os.close(self._replies)
+        self._stream = self._replies = -1
+        self.process.terminate()        # rather than drain the pipe
+        try:
+            self.process.wait(timeout)
+        except subprocess.TimeoutExpired:
             self.process.kill()
-            self.process.join(timeout)
-        self._replies.close()
+            self.process.wait(timeout)
+        self.idle.close()
 
 
 class RemoteCacheModel:
@@ -384,7 +407,7 @@ class RemoteCacheModel:
         t._calls += 1
         t._bytes += 8 * len(keys)
         if (t._calls >= BATCH_CALLS or t._bytes >= BATCH_BYTES
-                or (t._calls >= EAGER_CALLS and t.idle.value)):
+                or (t._calls >= EAGER_CALLS and t.idle[0])):
             t.flush()
 
     def sync(self, caches: bool = False) -> tuple[tuple[int, ...], float, int]:
@@ -412,11 +435,11 @@ os.register_at_fork(after_in_child=_forget_transport)
 def worker_allowed() -> bool:
     """Whether engines get a worker: two usable cores, and a process
     that may start children."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:                      # not on Linux
-        cores = os.cpu_count() or 1
-    return cores >= 2 and not multiprocessing.current_process().daemon
+    if not (hasattr(os, "sched_getaffinity")
+            and hasattr(os, "memfd_create")):
+        return False
+    return (len(os.sched_getaffinity(0)) >= 2
+            and not multiprocessing.current_process().daemon)
 
 
 def shared_transport() -> Transport | None:
@@ -424,7 +447,7 @@ def shared_transport() -> Transport | None:
     replaced); ``None`` if no worker can be started."""
     global _transport
     if (_transport is None or _transport.error is not None
-            or not _transport.process.is_alive()):
+            or _transport.process.poll() is not None):
         if _transport is not None:
             _transport.close()
         try:

@@ -9,11 +9,13 @@ typed error instead of a hang.
 
 from __future__ import annotations
 
+import fcntl
 import gc
 import os
 import signal
 import subprocess
 import sys
+import termios
 import textwrap
 import threading
 import time
@@ -29,7 +31,7 @@ from repro.core.preprocess import preprocess
 from repro.errors import CacheWorkerError, KernelFault, ReproError
 from repro.gpusim import cachestream
 from repro.gpusim.cache import CacheModel, cache_geometry
-from repro.gpusim.cachestream import (MAX_IN_FLIGHT, RemoteCacheModel,
+from repro.gpusim.cachestream import (PIPE_BYTES, RemoteCacheModel,
                                       Transport, open_cache_model,
                                       worker_allowed)
 from repro.gpusim.device import GTX_980, NVS_5200M, TESLA_C2050
@@ -83,18 +85,6 @@ class TestSelection:
         assert not worker_allowed()
         assert isinstance(open_cache_model(GTX_980, True), CacheModel)
 
-    def test_threaded_process_is_never_forked(self):
-        """Forking a process with live threads can deadlock the child
-        (and warns on Python 3.12+): the worker is spawned instead."""
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait, daemon=True)
-        helper.start()
-        try:
-            assert cachestream._start_method() == "spawn"
-        finally:
-            release.set()
-            helper.join()
-
     def test_bad_geometry_fails_in_the_caller(self):
         tiny = replace(GTX_980, l1_bytes=64)
         for kind in ("inline", "worker"):
@@ -103,22 +93,56 @@ class TestSelection:
                     SimtEngine(tiny, LaunchConfig(64, 1))
 
 
+class TestStart:
+    def test_unguarded_script_with_threads(self, tmp_path):
+        """The worker is a fresh interpreter: a script with top-level
+        code and no ``__main__`` guard runs once, whatever threads the
+        process already has, and its counters match the inline model."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            import threading
+            import numpy as np
+            from repro.gpusim import cachestream
+            cachestream.worker_allowed = lambda: True
+            from repro.gpusim.device import GTX_980
+            from repro.gpusim.memory import DeviceMemory
+            from repro.gpusim.simt import LaunchConfig, SimtEngine
+            release = threading.Event()
+            helper = threading.Thread(target=release.wait, daemon=True)
+            helper.start()
+            print("top-level code ran", flush=True)
+            engine = SimtEngine(GTX_980, LaunchConfig(64, 1))
+            assert type(engine._model).__name__ == "RemoteCacheModel"
+            buf = DeviceMemory(GTX_980).alloc(
+                "x", np.arange(4096, dtype=np.int32))
+            for _ in range(3):
+                engine.read_compacted(buf, np.arange(0, 4096, 3),
+                                      np.arange(1366) % 64)
+            print(repr(engine.report.counters()), flush=True)
+            release.set()
+        """))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, str(script)], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "top-level code ran" and len(lines) == 2
+        with forced_transport("inline"):
+            engine = SimtEngine(GTX_980, LaunchConfig(64, 1))
+        buf = DeviceMemory(GTX_980).alloc("x", np.arange(4096,
+                                                         dtype=np.int32))
+        for _ in range(3):
+            engine.read_compacted(buf, np.arange(0, 4096, 3),
+                                  np.arange(1366) % 64)
+        assert lines[1] == repr(engine.report.counters())
+
+
 class TestWorkerMatchesInline:
     def test_interleaved_engines(self):
         """Several engines stream into one worker, as the multi-GPU and
         serving paths do; each must end exactly like its inline twin,
-        with report reads (sync points) sprinkled in.  A short switch
-        interval makes the caller and the sender thread interleave
-        often, so a lost or reordered message would show."""
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            self._interleave()
-        finally:
-            sys.setswitchinterval(switch)
-
-    @staticmethod
-    def _interleave():
+        with report reads (sync points) sprinkled in."""
         rng = np.random.default_rng(7)
         tiny = replace(GTX_980, name="tiny-2sm", num_sms=2,
                        l1_bytes=4 * GTX_980.line_bytes, l1_ways=2,
@@ -212,6 +236,13 @@ def _keys(rng, n):
     return np.sort((lines << 4) | sms)
 
 
+def _unread_bytes(fd: int) -> int:
+    """Bytes written to a pipe and not yet read (``FIONREAD``)."""
+    buf = bytearray(4)
+    fcntl.ioctl(fd, termios.FIONREAD, buf)
+    return int.from_bytes(buf, sys.byteorder)
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="POSIX signals")
 class TestFailures:
     def test_killed_worker_is_a_typed_error(self):
@@ -222,7 +253,7 @@ class TestFailures:
         assert engine.report.transactions == 1
         process = engine._model._t.process
         os.kill(process.pid, signal.SIGKILL)
-        process.join(10)
+        process.wait(10)
         engine.read_compacted(buf, np.arange(8), np.arange(8))
         t0 = time.monotonic()
         with pytest.raises(CacheWorkerError):
@@ -238,9 +269,9 @@ class TestFailures:
         assert fresh.report.transactions == 1
 
     def test_in_flight_bytes_bounded_while_worker_stalls(self):
-        """A stopped worker fills the pipe, then the sender's queue; the
-        caller then blocks instead of queueing past the bound, and every
-        key still arrives once the worker resumes."""
+        """A stopped worker fills the stream pipe; the caller then
+        blocks instead of buffering past it, and every key still
+        arrives once the worker resumes."""
         transport = Transport()
         try:
             geometry = cache_geometry(GTX_980, True)
@@ -263,20 +294,80 @@ class TestFailures:
             deadline = time.monotonic() + 20
             while still < 10 and time.monotonic() < deadline:
                 time.sleep(0.05)
-                peak = max(peak, transport.in_flight)
+                peak = max(peak, _unread_bytes(transport._stream))
                 still = still + 1 if len(done) == last else 0
                 last = len(done)
             assert pusher.is_alive()            # held by backpressure
             assert len(done) < len(batches)
-            assert peak <= MAX_IN_FLIGHT
-            assert transport.peak_in_flight <= MAX_IN_FLIGHT
+            assert 0 < peak <= PIPE_BYTES
             os.kill(transport.process.pid, signal.SIGCONT)
             pusher.join(60)
             assert not pusher.is_alive()
-            assert transport.peak_in_flight <= MAX_IN_FLIGHT
             for keys in batches:
                 reference.apply(keys)
             assert handle.sync()[0] == reference.sync()[0]
+        finally:
+            os.kill(transport.process.pid, signal.SIGCONT)
+            transport.close()
+
+    def test_abandoned_sync_does_not_wedge_the_stream(self, monkeypatch):
+        """A sync cut short (Ctrl-C while reading ``engine.l2``) leaves
+        a cache copy larger than the replies pipe unread; the worker
+        blocks writing it until the caller, waiting for room in the
+        stream, drains and drops it.  The next sync answers with the
+        deltas since the abandoned one."""
+        monkeypatch.setattr(cachestream, "TIMEOUT_S", 10.0)
+        transport = Transport()
+        try:
+            geometry = cache_geometry(GTX_980, True)
+            handle = transport.open(geometry)
+            reference = CacheModel(*geometry)
+            rng = np.random.default_rng(5)
+            first = _keys(rng, 4096)
+            handle.apply(first)
+            reference.apply(first)
+            real_select = cachestream.select.select
+
+            def interrupted(*args):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cachestream.select, "select", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                handle.sync(caches=True)
+            reference.sync()        # the lost reply carried these deltas
+            monkeypatch.setattr(cachestream.select, "select", real_select)
+            assert transport.error is None
+            t0 = time.monotonic()
+            for _ in range(160):                # 10 MB, past the pipe
+                keys = _keys(rng, 8192)
+                handle.apply(keys)
+                reference.apply(keys)
+            assert handle.sync()[0] == reference.sync()[0]
+            assert time.monotonic() - t0 < 10
+        finally:
+            transport.close()
+
+    def test_write_cut_mid_message_is_a_typed_error(self, monkeypatch):
+        """Ctrl-C while the caller waits for room in a full pipe leaves
+        half a message in the stream; the transport refuses further use
+        instead of letting the worker misread the rest."""
+        transport = Transport()
+        try:
+            handle = transport.open(cache_geometry(GTX_980, True))
+            keys = _keys(np.random.default_rng(9), 1 << 18)   # 2 MB
+            os.kill(transport.process.pid, signal.SIGSTOP)
+
+            def interrupted(*args):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cachestream.select, "select", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                handle.apply(keys)
+            monkeypatch.undo()
+            monkeypatch.setattr(cachestream, "TIMEOUT_S", 10.0)
+            os.kill(transport.process.pid, signal.SIGCONT)
+            with pytest.raises(CacheWorkerError, match="cut"):
+                handle.sync()
         finally:
             os.kill(transport.process.pid, signal.SIGCONT)
             transport.close()
