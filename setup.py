@@ -20,7 +20,6 @@ setup(
     install_requires=["numpy>=1.24", "scipy>=1.10"],
     entry_points={"console_scripts": [
         "repro-bench = repro.bench.cli:main",
-        "repro-lint = repro.sanitize.lint:main",
         "repro-analyze = repro.analyze.cli:main",
     ]},
 )

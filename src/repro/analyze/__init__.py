@@ -7,8 +7,7 @@ registry (:mod:`repro.analyze.registry`) and structured findings with
 text/JSON/SARIF emitters (:mod:`repro.analyze.emit`) plus committed
 baselines (:mod:`repro.analyze.baseline`).  The legacy SAN101–SAN105
 rules live on unchanged (same ids, same suppressions, same findings)
-as plugins in :mod:`repro.analyze.checks.invariants`;
-``repro.sanitize.lint`` remains as a thin shim over this driver.
+as plugins in :mod:`repro.analyze.checks.invariants`.
 
 Driver entry points: :func:`analyze_source` for one module's text,
 :func:`analyze_paths` for trees of files; both apply the suppression
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 #: The rules the pre-refactor ``repro-lint`` walker implemented (plus
-#: SAN100, its bare-suppression fix); the ``repro.sanitize.lint`` shim
-#: restricts itself to these for backward compatibility.
+#: SAN100, its bare-suppression fix).
 LEGACY_RULES = ("SAN100", "SAN101", "SAN102", "SAN103", "SAN104", "SAN105")
 
 

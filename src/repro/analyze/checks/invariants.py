@@ -2,7 +2,7 @@
 plugin framework.
 
 Same ids, same suppressions, same findings (file:line:rule) as the
-pre-refactor flat walker in ``repro.sanitize.lint`` — pinned by
+pre-refactor flat ``repro-lint`` walker — pinned by
 ``tests/test_sanitize.py`` — plus the two fixes that motivated the
 rebase: SAN100 (a suppression comment that names no rule id is an
 explicit error instead of silently waiving nothing-or-everything) and

@@ -8,9 +8,8 @@ Exit-code contract (pinned by ``tests/test_cli_commands.py``):
 * ``2`` — usage or parse error: bad flags, unreadable baseline,
   unknown rule id, or analyzed source that does not parse (SAN000).
 
-``repro-lint`` remains as a thin shim over this driver restricted to
-the legacy SAN100–SAN105 rules; everything new (SAN2xx, SARIF,
-baselines) lives here.
+``--rules SAN100,SAN101,SAN102,SAN103,SAN104,SAN105`` restricts a run
+to the original flat-walker rules.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import IO
 
-from repro.analyze import LEGACY_RULES, analyze_paths, check_ids
+from repro.analyze import analyze_paths, check_ids
 from repro.analyze import baseline as baseline_mod
 from repro.analyze.emit import emit_json, emit_sarif, emit_text
 from repro.analyze.findings import Finding
@@ -51,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rules", metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(default: all registered)")
-    parser.add_argument("--legacy-only", action="store_true",
-                        help="run only the legacy repro-lint rules "
-                             "(SAN100-SAN105)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
@@ -71,8 +67,6 @@ def run(argv: list[str] | None = None,
         return 0
 
     checks: list[str] | None = None
-    if ns.legacy_only:
-        checks = list(LEGACY_RULES)
     if ns.rules:
         requested = [r.strip() for r in ns.rules.split(",") if r.strip()]
         known = set(check_ids())

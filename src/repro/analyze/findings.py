@@ -2,8 +2,8 @@
 
 Every check produces :class:`Finding` values; emitters
 (:mod:`repro.analyze.emit`), the baseline filter
-(:mod:`repro.analyze.baseline`) and the ``repro-lint`` shim all consume
-them.  The ``path:line:col: RULE message`` text rendering is kept
+(:mod:`repro.analyze.baseline`) and the repo-wide run
+(:mod:`repro.analyze.run`) all consume them.  The ``path:line:col: RULE message`` text rendering is kept
 byte-compatible with the pre-refactor flat walker so existing tooling
 (editors, CI grep) keeps working.
 """

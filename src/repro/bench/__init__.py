@@ -6,10 +6,13 @@
 * :mod:`~repro.bench.figures` — the Figure 1 Kronecker scaling series;
 * :mod:`~repro.bench.calibration` — the timing-model constants' single
   source of truth and the band checks;
-* :mod:`~repro.bench.cli` — the ``repro-bench`` command.
+* :mod:`~repro.bench.reproduce` — the one-command reproduction bundle
+  (``scripts/reproduce_all``): every table, figure and E1–E16 claim
+  check of the paper's evaluation in one ``summary.json``;
+* :mod:`~repro.bench.cli` — the ``repro-bench`` command, one subcommand
+  per experiment.
 
-The ``benchmarks/`` directory at the repository root drives this package
-through pytest-benchmark; EXPERIMENTS.md records one full run.
+EXPERIMENTS.md records one full run of the bundle.
 """
 
 from repro.bench.runner import RowResult, run_workload, run_table1

@@ -29,7 +29,7 @@ import os
 import sys
 
 from repro.bench import calibration, figures, tables
-from repro.bench.experiments import (amdahl_experiment, baseline_experiment,
+from repro.bench.experiments import (amdahl_sweep, baseline_experiment,
                                      grid_search, input_format_experiment,
                                      run_all_ablations)
 from repro.bench.runner import run_table1
@@ -204,9 +204,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if "multigpu" in commands:
         print("\n=== Section III-E multi-GPU Amdahl ===")
-        for name in ("internet", "kron18", "ba", "ws"):
-            g = get(name).build(seed=args.seed)
-            print(" ", amdahl_experiment(g, name=name).summary())
+        for point in amdahl_sweep(seed=args.seed):
+            print(" ", point.summary())
 
     if "related" in commands:
         from repro.bench.related import compare_with_green, compare_with_leist

@@ -1,8 +1,9 @@
 """Section III experiments: ablations, grid search, format and baselines.
 
-Shared between the pytest benches (``benchmarks/``) and the CLI.  Each
+Shared between the ``repro-bench`` subcommands and the reproduction
+bundle's ``claims`` section (:mod:`repro.bench.reproduce`).  Each
 function returns a small result object carrying measured numbers next to
-the paper's quoted range, so callers can both print and assert.
+the paper's quoted range, so callers can both print and check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import GTX_980, TESLA_C2050, XEON_X5650, DeviceSpec
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.simt import LaunchConfig
+from repro.utils import env_scale
 
 
 @dataclass(frozen=True)
@@ -270,12 +272,14 @@ def input_format_experiment(graph: EdgeArray,
 @dataclass(frozen=True)
 class AmdahlPoint:
     workload_name: str
+    num_arcs: int
     preprocessing_fraction: float
     amdahl_limit: float          # 1 / (f + (1-f)/4)
     measured_quad_speedup: float
 
     def summary(self) -> str:
-        return (f"{self.workload_name:<12} preprocess fraction "
+        return (f"{self.workload_name:<12} {self.num_arcs:>8,} arcs, "
+                f"preprocess fraction "
                 f"{self.preprocessing_fraction:.2f} -> Amdahl limit "
                 f"{self.amdahl_limit:.2f}x, measured "
                 f"{self.measured_quad_speedup:.2f}x")
@@ -292,9 +296,30 @@ def amdahl_experiment(graph: EdgeArray, name: str = "",
     f = one.timeline.preprocessing_fraction
     return AmdahlPoint(
         workload_name=name or f"{graph.num_arcs}-arc graph",
+        num_arcs=graph.num_arcs,
         preprocessing_fraction=f,
         amdahl_limit=1.0 / (f + (1.0 - f) / num_gpus),
         measured_quad_speedup=one.total_ms / four.total_ms)
+
+
+#: E11 workload -> scale multiplier over its mini default (times
+#: ``REPRO_SCALE``).  The Kronecker row gets 4x so it escapes the
+#: fixed-overhead regime: at 20k arcs its preprocessing fraction is
+#: launch-overhead-inflated, which would mask the triangle-density effect
+#: this experiment is about.
+AMDAHL_WORKLOADS = {"internet": 1.0, "kron18": 4.0, "ba": 1.0, "ws": 1.0}
+
+
+def amdahl_sweep(seed: int = 0) -> list[AmdahlPoint]:
+    """E11 on every :data:`AMDAHL_WORKLOADS` row, in table order."""
+    from repro.graphs.datasets import get
+
+    points = []
+    for name, factor in AMDAHL_WORKLOADS.items():
+        w = get(name)
+        g = w.build(scale=w.default_scale * env_scale() * factor, seed=seed)
+        points.append(amdahl_experiment(g, name=name))
+    return points
 
 
 # ---------------------------------------------------------------------- #
@@ -309,6 +334,8 @@ class BaselineComparison:
     edge_iterator_ms: float
     node_iterator_ms: float
     doulion_error_pct: float
+    #: DOULION's own 2-sigma plug-in error bound, as % of its estimate.
+    doulion_bound_pct: float
     birthday_error_pct: float
 
     def summary(self) -> str:
@@ -343,6 +370,7 @@ def baseline_experiment(graph: EdgeArray, seed: int = 0) -> BaselineComparison:
         edge_iterator_ms=ei.elapsed_ms,
         node_iterator_ms=ni.elapsed_ms,
         doulion_error_pct=err(dl.estimate),
+        doulion_bound_pct=dl.relative_error_bound * 100.0,
         birthday_error_pct=err(bd.triangle_estimate))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.bench.runner import run_workload
 from repro.errors import WorkloadError
 from repro.graphs.datasets import get
+from repro.utils import env_scale
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,12 @@ class SweepResult:
 def scale_sweep(name: str,
                 scales: tuple[float, ...] | None = None,
                 seed: int = 0) -> SweepResult:
-    """Measure one workload's GTX 980 row at a ladder of scales."""
+    """Measure one workload's GTX 980 row at a ladder of scales (by
+    default a 4x ladder topped by the workload's ``REPRO_SCALE``-scaled
+    default)."""
     w = get(name)
     if scales is None:
-        base = w.default_scale
+        base = w.default_scale * env_scale()
         scales = (base / 4, base / 2, base)
     if any(s <= 0 or s > 1 for s in scales):
         raise WorkloadError(f"scales must lie in (0, 1], got {scales}")

@@ -11,9 +11,6 @@ simulated substrate:
   :mod:`repro.errors` in strict mode).  Opt in with
   ``GpuOptions(sanitize="report")`` or ``"strict"``; the default
   ``"off"`` keeps the hot paths at a single ``None`` check.
-* :mod:`repro.sanitize.lint` — the ``repro-lint`` static AST lint that
-  enforces simulator invariants across ``src/`` (rule catalog in
-  ``docs/sanitizer.md``).
 * :mod:`repro.sanitize.matrix` — the ``repro-bench sanitize`` clean
   kernel matrix: every kernel × merge variant under all three checkers,
   with a sanitize-off identity comparison.

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from repro.analyze import LEGACY_RULES
 from repro.analyze.cli import main as analyze_main
 from repro.bench.cli import main
-from repro.sanitize.lint import main as lint_main
 
 
 @pytest.fixture(autouse=True)
@@ -54,8 +54,9 @@ _BROKEN = "def broken(:\n"
 
 
 class TestAnalyzeExitCodes:
-    """The 0/1/2 contract shared by repro-analyze and repro-lint:
-    0 clean, 1 findings (or stale baseline entries), 2 usage/parse."""
+    """The 0/1/2 contract of repro-analyze, also when ``--rules``
+    restricts it to the legacy rules: 0 clean, 1 findings (or stale
+    baseline entries), 2 usage/parse."""
 
     @pytest.fixture()
     def tree(self, tmp_path):
@@ -117,13 +118,15 @@ class TestAnalyzeExitCodes:
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"][0]["ruleId"] == "SAN202"
 
-    def test_lint_shim_same_contract(self, tree, capsys):
-        assert lint_main([tree("clean.py", _CLEAN)]) == 0
-        assert lint_main([tree("legacy.py", _LEGACY_DIRTY)]) == 1
+    def test_legacy_rules_same_contract(self, tree, capsys):
+        legacy = ["--rules", ",".join(LEGACY_RULES)]
+        assert analyze_main([tree("clean.py", _CLEAN)] + legacy) == 0
+        assert analyze_main([tree("legacy.py", _LEGACY_DIRTY)] + legacy) == 1
         assert "SAN103" in capsys.readouterr().out
-        assert lint_main([tree("broken.py", _BROKEN)]) == 2
+        assert analyze_main([tree("broken.py", _BROKEN)] + legacy) == 2
 
-    def test_lint_shim_ignores_new_rules(self, tree):
-        # Path-sensitive SAN2xx findings are repro-analyze's job; the
-        # legacy shim must not start failing on them.
-        assert lint_main([tree("dirty.py", _DIRTY)]) == 0
+    def test_legacy_rules_ignore_new_rules(self, tree):
+        # A run restricted to the legacy rules must not start failing on
+        # the path-sensitive SAN2xx findings.
+        assert analyze_main([tree("dirty.py", _DIRTY), "--rules",
+                             ",".join(LEGACY_RULES)]) == 0

@@ -1,5 +1,5 @@
 """The one-command reproduction bundle: schema, determinism, sweeps,
-tuned-config round-trip, CLI regression (ISSUE 7)."""
+tuned-config round-trip, CLI and docs regression."""
 
 import json
 import subprocess
@@ -11,7 +11,7 @@ import pytest
 from repro.bench.autotune import run_sweep
 from repro.bench.cli import main as cli_main
 from repro.bench.reproduce import (ARTIFACT_FILES, PRESETS, SUMMARY_FORMAT,
-                                   VOLATILE_KEYS, build_parser,
+                                   VOLATILE_KEYS, build_parser, checks_ok,
                                    deterministic_doc, run_reproduce)
 from repro.bench.sweepconfig import (SweepConfig, load_sweep_config,
                                      validate_sweep_doc)
@@ -44,8 +44,9 @@ class TestSummarySchema:
     def test_summary_structure(self, bundle):
         doc = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
         assert doc["format"] == SUMMARY_FORMAT
-        assert set(doc["sections"]) == {"table1", "figure1", "serve",
-                                        "serve_scale", "tune", "analyze"}
+        assert set(doc["sections"]) == {"table1", "figure1", "claims",
+                                        "serve", "serve_scale", "tune",
+                                        "analyze"}
         for section in doc["sections"].values():
             assert isinstance(section["ok"], bool)
         assert doc["volatile_keys"] == sorted(VOLATILE_KEYS)
@@ -61,6 +62,18 @@ class TestSummarySchema:
         # The tiny preset runs rows large enough that some checks apply.
         assert any(c["applies"] for c in checks)
 
+    def test_claims_carry_value_bound_and_verdict(self, bundle):
+        from repro.bench.calibration import CLAIM_BOUNDS
+        checks = bundle.summary["sections"]["claims"]["checks"]
+        for c in checks:
+            assert {"name", "workload", "value", "lo", "hi", "closed",
+                    "applies", "passed", "detail"} <= set(c)
+            assert c["name"] in CLAIM_BOUNDS
+        # Every claim is checked at least once, and most apply even at
+        # the tiny preset's scale.
+        assert {c["name"] for c in checks} == set(CLAIM_BOUNDS)
+        assert sum(c["applies"] for c in checks) > len(checks) // 2
+
     def test_rows_pair_measured_with_paper(self, bundle):
         for row in bundle.summary["sections"]["table1"]["rows"]:
             assert set(row["measured"]) == set(row["paper"])
@@ -74,20 +87,25 @@ class TestSummarySchema:
         assert m["sweep_config"]["grid"]["device"]
 
     def test_band_check_failure_wiring(self, bundle):
-        """A failing applicable check must flip the section and bundle."""
+        """A failing applicable band or claim check must flip its
+        section and the bundle."""
         import copy
-        doc = copy.deepcopy(bundle.summary)
-        sec = doc["sections"]["table1"]
-        sec["band_checks"][0].update(applies=True, passed=False)
-        applicable = [c for c in sec["band_checks"] if c["applies"]]
-        recomputed = (all(c["passed"] for c in applicable)
-                      and not sec["dagger_problems"])
-        assert recomputed is False   # the wiring run_reproduce uses
+        for section, key in (("table1", "band_checks"),
+                             ("claims", "checks")):
+            doc = copy.deepcopy(bundle.summary)
+            sec = doc["sections"][section]
+            assert checks_ok(sec[key])
+            sec[key][0].update(applies=True, passed=False)
+            # the wiring run_reproduce uses
+            sec["ok"] = checks_ok(sec[key])
+            assert sec["ok"] is False, section
+            assert not all(s["ok"] for s in doc["sections"].values())
 
     def test_report_md_mentions_verdict_and_sections(self, bundle):
         text = (Path(bundle.out_dir) / "report.md").read_text()
         assert "Verdict: PASS" in text
-        for heading in ("Manifest", "Table I", "Figure 1", "Serving",
+        for heading in ("Manifest", "Table I", "Figure 1",
+                        "Paper claims", "Serving",
                         "Serve-scale", "Autotune",
                         "Static analysis", "Artifacts"):
             assert heading in text
@@ -273,6 +291,35 @@ class TestCli:
             assert args.scale == preset
         with pytest.raises(SystemExit):
             parser.parse_args(["--scale", "huge"])
+
+    def test_multigpu_cli_and_claims_share_one_table(self, monkeypatch):
+        """`repro-bench multigpu` and the bundle's E11 claims measure the
+        same graphs, kron18 at 4x its mini default included."""
+        from repro.bench import experiments, reproduce
+        from repro.graphs.datasets import get
+
+        seen = []
+
+        def fake_amdahl(graph, name=""):
+            seen.append((name, graph.num_arcs))
+            return experiments.AmdahlPoint(name, graph.num_arcs, 0.5, 1.6,
+                                           1.2)
+
+        monkeypatch.setattr(experiments, "amdahl_experiment", fake_amdahl)
+        monkeypatch.setenv("REPRO_SCALE", "0.25")
+        assert cli_main(["multigpu"]) == 0
+        cli_arcs = dict(seen)
+        seen.clear()
+        reproduce._amdahl_claims(seed=0)
+        assert dict(seen) == cli_arcs
+        assert cli_arcs["kron18"] > get("kron18").build().num_arcs
+
+    def test_docs_commands_parse(self):
+        """scripts/check_docs: every documented command parses."""
+        out = subprocess.run([sys.executable,
+                              str(REPO / "scripts" / "check_docs")],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_reproduce_script_help_runs(self):
         out = subprocess.run(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze import LEGACY_RULES, analyze_paths, analyze_source
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.hybrid import gpu_hub_counter, hybrid_count_triangles
 from repro.core.multi_gpu import multi_gpu_count_triangles
@@ -25,7 +26,6 @@ from repro.runtime import (KernelSpec, LaunchPlan, StreamTimeline,
                            get_kernel, kernel_names, launch,
                            resolve_kernel, spec_for_options)
 from repro.runtime.spec import register
-from repro.sanitize.lint import lint_source
 
 
 class TestRegistry:
@@ -275,30 +275,36 @@ class TestGpuBackends:
         assert res.triangles == want
 
 
+def legacy_findings(source, path):
+    """The legacy rules' findings on one module, sorted."""
+    return list(analyze_source(source, path,
+                               checks=LEGACY_RULES).all_findings)
+
+
 class TestSan104:
     def test_flags_direct_construction(self):
         src = ("from repro.gpusim.simt import SimtEngine\n"
                "e = SimtEngine(dev, launch)\n")
-        findings = lint_source(src, "src/repro/core/rogue.py")
+        findings = legacy_findings(src, "src/repro/core/rogue.py")
         assert [f.rule for f in findings] == ["SAN104"]
         assert "repro.runtime" in findings[0].message
 
     @pytest.mark.parametrize("path", [
         "src/repro/gpusim/simt.py", "src/repro/runtime/launch.py"])
     def test_exempt_packages(self, path):
-        findings = lint_source("e = SimtEngine(dev, launch)\n", path)
+        findings = legacy_findings("e = SimtEngine(dev, launch)\n", path)
         assert findings == []
 
     def test_suppression_comment(self):
         src = "e = SimtEngine(dev, launch)  # san-ok: SAN104\n"
-        assert lint_source(src, "src/repro/core/rogue.py") == []
+        assert legacy_findings(src, "src/repro/core/rogue.py") == []
 
     def test_tree_is_clean(self):
         from pathlib import Path
 
-        from repro.sanitize.lint import lint_paths
         src_root = Path(__file__).parent.parent / "src"
-        findings = [f for f in lint_paths([str(src_root)])
+        result = analyze_paths([str(src_root)], checks=LEGACY_RULES)
+        findings = [f for f in result.all_findings
                     if f.rule == "SAN104"]
         assert findings == []
 
@@ -306,28 +312,28 @@ class TestSan104:
 class TestSan105:
     def test_flags_direct_cursor_access(self):
         src = "start = tl._cursors[0]\n"
-        findings = lint_source(src, "src/repro/core/rogue.py")
+        findings = legacy_findings(src, "src/repro/core/rogue.py")
         assert [f.rule for f in findings] == ["SAN105"]
         assert "stream_time" in findings[0].message
 
     def test_flags_cursor_mutation(self):
         src = "tl._cursors[1] = 5.0\n"
-        findings = lint_source(src, "src/repro/bench/rogue.py")
+        findings = legacy_findings(src, "src/repro/bench/rogue.py")
         assert [f.rule for f in findings] == ["SAN105"]
 
     def test_runtime_package_exempt(self):
         src = "start = self._cursors[stream]\n"
-        assert lint_source(src, "src/repro/runtime/stream.py") == []
+        assert legacy_findings(src, "src/repro/runtime/stream.py") == []
 
     def test_suppression_comment(self):
         src = "x = tl._cursors  # san-ok: SAN105\n"
-        assert lint_source(src, "src/repro/core/rogue.py") == []
+        assert legacy_findings(src, "src/repro/core/rogue.py") == []
 
     def test_tree_is_clean(self):
         from pathlib import Path
 
-        from repro.sanitize.lint import lint_paths
         src_root = Path(__file__).parent.parent / "src"
-        findings = [f for f in lint_paths([str(src_root)])
+        result = analyze_paths([str(src_root)], checks=LEGACY_RULES)
+        findings = [f for f in result.all_findings
                     if f.rule == "SAN105"]
         assert findings == []

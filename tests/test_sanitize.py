@@ -1,4 +1,5 @@
-"""Adversarial tests for the sanitizer and the repro-lint rules.
+"""Adversarial tests for the sanitizer and the legacy static rules
+(SAN100-SAN105).
 
 Each checker is fed a kernel seeded with exactly its bug class —
 out-of-bounds access, use-after-free, uninitialized read, non-atomic
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze import LEGACY_RULES, analyze_paths, analyze_source
+
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.errors import (InitcheckError, KernelFault, MemcheckError,
@@ -27,7 +30,6 @@ from repro.gpusim.device import GTX_980
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.simt import LaunchConfig, SimtEngine
 from repro.sanitize import CHECKERS, SANITIZE_MODES, Sanitizer
-from repro.sanitize.lint import lint_paths, lint_source
 from repro.sanitize.matrix import run_sanitize_matrix
 
 WS = GTX_980.warp_size
@@ -340,8 +342,15 @@ class TestCleanKernels:
 
 
 # --------------------------------------------------------------------- #
-# repro-lint rules
+# legacy static rules SAN100-SAN105
 # --------------------------------------------------------------------- #
+
+def legacy_findings(source, path):
+    """The legacy rules' findings (parse errors included) on one
+    module, sorted."""
+    return list(analyze_source(source, path,
+                               checks=LEGACY_RULES).all_findings)
+
 
 _SAN101_BAD = """\
 def leak(memory, data):
@@ -397,7 +406,7 @@ gen: np.random.Generator = rng
 
 class TestLint:
     def _rules(self, source, path="src/repro/core/fixture.py"):
-        return [f.rule for f in lint_source(source, path)]
+        return [f.rule for f in legacy_findings(source, path)]
 
     def test_san101_dataflow(self):
         assert self._rules(_SAN101_BAD) == ["SAN101"]
@@ -493,11 +502,12 @@ class TestLint:
         assert sorted(self._rules(src)) == ["SAN100", "SAN101"]
 
     def test_finding_location_format(self):
-        finding = lint_source(_SAN101_BAD, "x.py")[0]
+        finding = legacy_findings(_SAN101_BAD, "x.py")[0]
         assert finding.format().startswith("x.py:3:")
         assert "SAN101" in finding.format()
 
     def test_src_tree_is_clean(self):
         src_dir = Path(__file__).resolve().parents[1] / "src"
-        findings = lint_paths([str(src_dir)])
-        assert findings == [], [f.format() for f in findings]
+        findings = analyze_paths([str(src_dir)],
+                                 checks=LEGACY_RULES).all_findings
+        assert findings == (), [f.format() for f in findings]

@@ -2,8 +2,13 @@
 
 import pytest
 
+from types import SimpleNamespace
+
+from repro.bench import sweep as sweep_mod
+from repro.bench.reproduce import scaled
 from repro.bench.sweep import SweepPoint, SweepResult, scale_sweep
 from repro.errors import WorkloadError
+from repro.graphs.datasets import get
 
 
 class TestSweepResult:
@@ -50,6 +55,24 @@ class TestScaleSweep:
         base = 1 / 2048
         result = scale_sweep("kron18", scales=(base * 2, base))
         assert result.points[0].scale < result.points[1].scale
+
+    def test_default_ladder_follows_repro_scale(self, monkeypatch):
+        """The default 4x ladder tops out at the REPRO_SCALE-scaled
+        default: the graph every other experiment builds."""
+        def row(name, scale, seed, configs):
+            g = get(name).build(scale=scale, seed=seed)
+            return SimpleNamespace(
+                num_arcs=g.num_arcs, gtx980_speedup=1.0, cache_hit_pct=50.0,
+                gtx980=SimpleNamespace(
+                    timeline=SimpleNamespace(preprocessing_fraction=0.5)))
+
+        monkeypatch.setattr(sweep_mod, "run_workload", row)
+        with scaled(0.5):
+            result = scale_sweep("ws")
+            want = get("ws").build().num_arcs
+        assert result.points[-1].num_arcs == want
+        assert result.points[0].scale == pytest.approx(
+            result.points[-1].scale / 4)
 
     def test_invalid_scales(self):
         with pytest.raises(WorkloadError):
