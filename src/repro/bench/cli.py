@@ -209,18 +209,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if "related" in commands:
         from repro.bench.related import compare_with_green, compare_with_leist
-        from repro.bench.runner import scaled_device
+        from repro.bench.runner import scaled_setup
         from repro.gpusim.device import GTX_980
         print("\n=== Section V related work ===")
         for name in ("citeseer", "dblp"):
-            w = get(name)
-            g = w.build(seed=args.seed)
-            r = compare_with_green(g, scaled_device(GTX_980, g, w))
+            r = compare_with_green(*scaled_setup(name, GTX_980, args.seed))
             print(f"  vs Green [15] on {name}: {r.summary()}")
         for name in ("ba", "ws"):
-            w = get(name)
-            g = w.build(seed=args.seed)
-            r = compare_with_leist(g, scaled_device(GTX_980, g, w))
+            r = compare_with_leist(*scaled_setup(name, GTX_980, args.seed))
             print(f"  vs Leist [13] on {name}: {r.summary()}")
 
     if "sweep" in commands:
@@ -230,13 +226,11 @@ def main(argv: list[str] | None = None) -> int:
             print(scale_sweep(name, seed=args.seed).summary())
 
     if "profile" in commands:
-        from repro.bench.runner import scaled_device
+        from repro.bench.runner import scaled_setup
         from repro.gpusim.device import GTX_980
         print("\n=== nvprof-style kernel profile ===")
         for name in (args.workloads or ["livejournal"]):
-            w = get(name)
-            g = w.build(seed=args.seed)
-            dev = scaled_device(GTX_980, g, w)
+            g, dev = scaled_setup(name, GTX_980, args.seed)
             from repro.core.forward_gpu import gpu_count_triangles
             from repro.gpusim.memory import DeviceMemory
             run = gpu_count_triangles(g, device=dev,

@@ -152,16 +152,13 @@ ABLATION_WORKLOADS = {
 def run_all_ablations(seed: int = 0) -> list[AblationResult]:
     """Every Section III-D ablation, each on its designated workload and
     a Table-I-style capacity-scaled GTX 980."""
-    from repro.bench.runner import scaled_device
-    from repro.graphs.datasets import get
+    from repro.bench.runner import scaled_setup
 
     results = []
     graphs: dict[str, tuple] = {}
     for fn, name in ABLATION_WORKLOADS.items():
         if name not in graphs:
-            w = get(name)
-            g = w.build(seed=seed)
-            graphs[name] = (g, scaled_device(GTX_980, g, w))
+            graphs[name] = scaled_setup(name, GTX_980, seed)
         g, dev = graphs[name]
         results.append(fn(g, dev))
     return results

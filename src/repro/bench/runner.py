@@ -95,6 +95,15 @@ def scaled_device(device: DeviceSpec, graph: EdgeArray,
     return device.scaled(ratio)
 
 
+def scaled_setup(name: str, device: DeviceSpec,
+                 seed: int = 0) -> tuple[EdgeArray, DeviceSpec]:
+    """Build workload ``name`` at its default scale and capacity-scale
+    ``device`` to it, the way Table I scales its devices."""
+    w = get(name)
+    graph = w.build(seed=seed)
+    return graph, scaled_device(device, graph, w)
+
+
 def run_workload(name: str,
                  scale: float | None = None,
                  seed: int = 0,

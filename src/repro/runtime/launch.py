@@ -12,7 +12,7 @@ historical pipelines (device addresses feed the cache model, so even
    *before* the first allocation (initcheck must see every buffer);
 3. construct the :class:`~repro.gpusim.simt.SimtEngine` from
    :class:`~repro.core.options.GpuOptions` (the only construction site
-   outside ``gpusim`` — enforced by repro-lint SAN104);
+   outside ``gpusim`` — enforced by repro-analyze SAN104);
 4. allocate the per-thread result buffer (before preprocessing, so the
    Section III-D6 fallback logic sees the full footprint), then the
    per-vertex accumulator for ``per_vertex`` specs;
@@ -71,7 +71,7 @@ def build_engine(device: DeviceSpec, options: GpuOptions,
     """The one :class:`SimtEngine` construction point outside gpusim.
 
     Centralizing it keeps launch-config validation, read-only-cache
-    wiring and sanitizer attachment uniform (repro-lint SAN104 flags
+    wiring and sanitizer attachment uniform (repro-analyze SAN104 flags
     direct constructions elsewhere).
     """
     return SimtEngine(device, options.launch,

@@ -37,7 +37,7 @@ schedule, not a phase-sum what-if.  Every recorded edge is kept in
 
 The cursor dict itself is an internal invariant (fork points, barrier
 advancement); outside ``repro/runtime`` use :meth:`stream_time` /
-:meth:`wait_for` — repro-lint SAN105 flags direct ``_cursors`` access.
+:meth:`wait_for` — repro-analyze SAN105 flags direct ``_cursors`` access.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class StreamTimeline(Timeline):
         A stream that has never been used reads at its fork point — the
         default stream's current time (you cannot overlap with work the
         host has not issued yet).  This is the sanctioned accessor;
-        ``_cursors`` itself is internal (repro-lint SAN105).
+        ``_cursors`` itself is internal (repro-analyze SAN105).
         """
         if stream in self._cursors:
             return self._cursors[stream]

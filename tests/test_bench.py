@@ -133,6 +133,23 @@ class TestCalibration:
         # ba never daggers in the paper; at tiny scale it shouldn't either
         assert problems == []
 
+    def test_launch_floor_is_the_runs_launch_overhead(self, monkeypatch):
+        """GPU_LAUNCH_FLOOR_MS is what one forward run pays in launches."""
+        from repro.core.forward_gpu import gpu_count_triangles
+        from repro.gpusim import thrustlike
+        from repro.gpusim.memory import DeviceMemory
+
+        g = get("kron17").build(scale=TINY["kron17"], seed=0)
+
+        def total_ms():
+            return gpu_count_triangles(
+                g, device=GTX_980, memory=DeviceMemory(GTX_980)).total_ms
+
+        with_launches = total_ms()
+        monkeypatch.setattr(thrustlike, "LAUNCH_OVERHEAD_MS", 0.0)
+        assert with_launches - total_ms() == pytest.approx(
+            calibration.GPU_LAUNCH_FLOOR_MS)
+
     def test_provenance_documented(self):
         keys = {field for _, field in calibration.PROVENANCE}
         assert any("ns_per_merge_step" in k for k in keys)

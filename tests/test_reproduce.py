@@ -74,6 +74,17 @@ class TestSummarySchema:
         assert {c["name"] for c in checks} == set(CLAIM_BOUNDS)
         assert sum(c["applies"] for c in checks) > len(checks) // 2
 
+    def test_table2_claims_check_every_row(self, bundle):
+        """Hit rates are checked on every row, the ones below the Table I
+        bands' 20k-arc floor included."""
+        rows = bundle.summary["sections"]["table1"]["rows"]
+        hit = {c["workload"]: c for c in
+               bundle.summary["sections"]["claims"]["checks"]
+               if c["name"] == "e2_cache_hit_in_band"}
+        assert set(hit) == {r["workload"] for r in rows}
+        assert any(r["arcs"] < 20_000 for r in rows)
+        assert all(c["applies"] for c in hit.values())
+
     def test_rows_pair_measured_with_paper(self, bundle):
         for row in bundle.summary["sections"]["table1"]["rows"]:
             assert set(row["measured"]) == set(row["paper"])
