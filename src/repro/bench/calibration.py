@@ -120,9 +120,10 @@ def row_checks(row: RowResult) -> list[BandCheck]:
     """Every band check of one measured Table I row, pass or fail.
 
     Speedup bands apply only to rows large enough to escape the
-    fixed-overhead regime; the bandwidth band applies only when the
-    counting kernel is actually DRAM-bound (the regime the paper's
-    "about half of peak" observation describes).
+    fixed-overhead regime.  The Table II bands apply on every row: the
+    hit rate whenever the GTX 980 ran, the bandwidth band whenever its
+    counting kernel is DRAM-bound (the regime the paper's "about half
+    of peak" observation describes).
     """
     name = row.workload.name
     in_regime = row.num_arcs >= MIN_ARCS_FOR_SPEEDUP_BANDS
@@ -150,14 +151,14 @@ def row_checks(row: RowResult) -> list[BandCheck]:
         detail=f"{name}: quad speedup {row.quad_speedup:.2f}x outside "
                f"{QUAD_SPEEDUP.lo}-{QUAD_SPEEDUP.hi} band")
     add("cache_hit_pct", row.cache_hit_pct, CACHE_HIT_PCT,
-        applies=bool(row.gtx980) and in_regime,
+        applies=bool(row.gtx980),
         detail=f"{name}: cache hit {row.cache_hit_pct:.1f}% outside "
                f"{CACHE_HIT_PCT.lo}-{CACHE_HIT_PCT.hi}% band")
     if row.gtx980:
         frac = row.bandwidth_gbs / row.gtx980.device.peak_bandwidth_gbs
         dram_bound = row.gtx980.kernel_timing.bound == "dram"
         add("bandwidth_fraction", frac, BANDWIDTH_FRACTION_OF_PEAK,
-            applies=dram_bound and in_regime,
+            applies=dram_bound,
             detail=f"{name}: bandwidth {row.bandwidth_gbs:.0f} GB/s = "
                    f"{frac:.2f} of peak, outside the 'about half' band")
     return checks
@@ -224,11 +225,6 @@ class Bound:
 HOLDS = Bound(1.0, 1.0, closed=True)
 
 
-def _widened(band: Band) -> Bound:
-    """The interval :meth:`Band.check` accepts, as a claim bound."""
-    return Bound(band.lo / band.slack, band.hi * band.slack, closed=True)
-
-
 #: One bound per claim id of ``summary.json``'s ``claims`` section.  The
 #: tolerances are the ones the paper-claim checks have always asserted
 #: (EXPERIMENTS.md gives each one's rationale); the comment on each group
@@ -240,12 +236,9 @@ CLAIM_BOUNDS: dict[str, Bound] = {
     "e1_c2050_beats_cpu": Bound(lo=1.0),
     "e1_gtx980_beats_cpu": Bound(lo=1.0),
     "e1_gtx980_beats_c2050": Bound(lo=1.0),
-    # E2 Table II, per row: the hit rate (%) in the widened CACHE_HIT_PCT
-    # band; per DRAM-bound row, the fraction of peak bandwidth in the
-    # widened BANDWIDTH_FRACTION_OF_PEAK band.  Then BA's hit rate minus
-    # the lowest other row's (points); the number of DRAM-bound rows.
-    "e2_cache_hit_in_band": _widened(CACHE_HIT_PCT),
-    "e2_bandwidth_in_band": _widened(BANDWIDTH_FRACTION_OF_PEAK),
+    # E2 Table II (the per-row hit-rate and bandwidth bands are the
+    # Table I band checks): BA's hit rate minus the lowest other row's
+    # (points); the number of DRAM-bound rows.
     "e2_ba_worst_cache_hit": Bound(hi=1.0, closed=True),
     "e2_dram_bound_rows": Bound(lo=4, closed=True),
     # E3 Figure 1, first to last Kronecker point: size ratio; CPU time

@@ -29,8 +29,9 @@ import os
 import sys
 
 from repro.bench import calibration, figures, tables
-from repro.bench.experiments import (amdahl_sweep, baseline_experiment,
-                                     grid_search, input_format_experiment,
+from repro.bench.experiments import (GRID_WORKLOAD, amdahl_sweep,
+                                     baseline_experiment, grid_search,
+                                     input_format_experiment,
                                      run_all_ablations)
 from repro.bench.runner import run_table1
 from repro.graphs.datasets import WORKLOADS, get, kronecker_names
@@ -194,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if "gridsearch" in commands:
         print("\n=== Section III-C launch grid search ===")
-        g = get("kron17").build(seed=args.seed)
+        g = get(GRID_WORKLOAD).build(seed=args.seed)
         print(grid_search(g).summary())
 
     if "inputformat" in commands:

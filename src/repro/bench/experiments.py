@@ -168,6 +168,10 @@ def run_all_ablations(seed: int = 0) -> list[AblationResult]:
 # E9: launch grid search (Section III-C)
 # ---------------------------------------------------------------------- #
 
+#: The E9 graph, swept by ``repro-bench gridsearch`` and the claims.
+GRID_WORKLOAD = "kron18"
+
+
 @dataclass
 class GridSearchResult:
     """Kernel time per (threads_per_block, blocks_per_sm) point."""

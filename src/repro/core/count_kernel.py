@@ -63,7 +63,6 @@ via ``atomic_add``) — enforced across the configuration matrix by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -141,7 +140,6 @@ def count_triangles_kernel(engine: SimtEngine,
     ws = engine.warp_size
     ws_shift = ws.bit_length() - 1    # warp sizes divide 32: always pow2
     W = engine.num_warps
-    prof = engine.host_profiler
     read = engine.read_compacted
 
     # Worklist of live warps.  A lane's arc cursor is derived, never
@@ -304,30 +302,18 @@ def count_triangles_kernel(engine: SimtEngine,
         while alive:
             if load_pending:
                 ticks += 1
-                t0 = perf_counter() if prof is not None else 0.0
                 _setup_tick()
                 load_pending = bool((phase == _LOAD).any())
-                if prof is not None:
-                    prof.add("setup", perf_counter() - t0)
                 if n:
-                    t0 = perf_counter() if prof is not None else 0.0
                     _merge_tick()
-                    if prof is not None:
-                        prof.add(strategy.step_kind, perf_counter() - t0)
                 continue
             if not n:
                 break  # unreachable: alive warps are _LOAD or mid-step
             # Fused stepping: no warp needs a setup block until one
             # reconverges, so iterate the pool back to back.
-            t0 = perf_counter() if prof is not None else 0.0
-            fused = 0
             while n and not load_pending:
                 ticks += 1
-                fused += 1
                 _merge_tick()
-            if prof is not None:
-                prof.add(strategy.step_kind, perf_counter() - t0,
-                         calls=fused)
     finally:
         strategy.finish(ctx)
 

@@ -9,7 +9,8 @@ exactly that by combining the vertex-partition scheme of
 1. hash vertices into ``num_parts`` buckets;
 2. form one induced-subgraph counting *job* per part subset Q (|Q| ≤ 3)
    with a non-zero inclusion–exclusion weight
-   ``w(Q) = Σ_{s=|Q|}^{3} (−1)^{s−|Q|} · C(p−|Q|, s−|Q|)``;
+   ``w(Q) = Σ_{s=|Q|}^{3} (−1)^{s−|Q|} · C(p−|Q|, s−|Q|)``
+   (:func:`~repro.core.partitioned.subset_jobs`);
 3. schedule jobs across the GPUs greedily (longest processing time
    first, estimated by subgraph arc count);
 4. each device runs its jobs *independently* — its own preprocessing,
@@ -26,26 +27,17 @@ trade-off the paper was unsure about; the result object reports it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
+from repro.core.partitioned import subset_jobs
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import DeviceSpec, TESLA_C2050
 from repro.gpusim.device import XEON_X5650
 from repro.gpusim.memory import DeviceMemory
-
-
-def subset_weight(subset_size: int, num_parts: int) -> int:
-    """Inclusion–exclusion weight of an induced subgraph over
-    ``subset_size`` parts (see module docstring)."""
-    return sum((-1) ** (s - subset_size)
-               * comb(num_parts - subset_size, s - subset_size)
-               for s in range(subset_size, min(3, num_parts) + 1))
 
 
 def lpt_assign(costs, num_devices: int,
@@ -146,26 +138,15 @@ def distributed_count_triangles(graph: EdgeArray,
     if num_parts < 1:
         raise ReproError(f"need >= 1 part, got {num_parts}")
 
-    rng = np.random.default_rng(seed)
-    part_of = rng.integers(0, num_parts, size=max(graph.num_nodes, 1))
-    pf = part_of[graph.first] if graph.num_arcs else np.zeros(0, np.int64)
-    ps = part_of[graph.second] if graph.num_arcs else np.zeros(0, np.int64)
     # Host-side partition pass: label both endpoints, one pass each.
     partition_ms = 2 * graph.num_arcs * XEON_X5650.ns_per_pass_element * 1e-6
 
-    # Build the job list (skip zero-weight subsets entirely).
-    jobs: list[DistributedJob] = []
     masks: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, min(3, num_parts) + 1):
-        weight = subset_weight(size, num_parts)
-        if weight == 0:
-            continue
-        for parts in combinations(range(num_parts), size):
-            mask = np.isin(pf, parts) & np.isin(ps, parts)
-            arcs = int(mask.sum())
-            masks[parts] = mask
-            jobs.append(DistributedJob(parts=parts, weight=weight,
-                                       num_arcs=arcs))
+    jobs: list[DistributedJob] = []
+    for parts, weight, mask in subset_jobs(graph, num_parts, seed):
+        masks[parts] = mask
+        jobs.append(DistributedJob(parts=parts, weight=weight,
+                                   num_arcs=int(mask.sum())))
 
     # LPT scheduling: biggest job to the least-loaded device.
     for job, dev in zip(jobs, lpt_assign([j.num_arcs for j in jobs], num_gpus)):

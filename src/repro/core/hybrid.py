@@ -63,8 +63,8 @@ def gpu_hub_counter(device=None, options=None):
     induced hub subgraph; matmul (the paper's suggestion) is the
     default, and this factory routes that leg through the unified
     runtime instead — one :func:`repro.runtime.launch` of the merge
-    kernel per call, so the hub leg shares engine selection, sanitizer
-    wiring and hostprof phases with every other pipeline.
+    kernel per call, so the hub leg shares engine selection and
+    sanitizer wiring with every other pipeline.
     """
     from repro.core.autopick import resolve_options
     from repro.core.options import GpuOptions

@@ -28,7 +28,6 @@ from repro.core.intersect.binary_search import (BinarySearchStrategy,
 from repro.core.intersect.hashed import HashStrategy
 from repro.core.intersect.merge import MergeStrategy
 from repro.errors import ReproError
-from repro.gpusim.hostprof import register_subset_phase
 
 #: Registry: strategy name -> singleton instance.
 STRATEGIES: dict[str, IntersectionStrategy] = {}
@@ -36,16 +35,12 @@ STRATEGIES: dict[str, IntersectionStrategy] = {}
 
 def register_strategy(strategy: IntersectionStrategy,
                       ) -> IntersectionStrategy:
-    """Register a strategy instance under its ``name`` (its
-    ``step_kind`` becomes a nested host-profile phase)."""
+    """Register a strategy instance under its ``name``."""
     if not strategy.name:
         raise ReproError("strategy must carry a non-empty name")
     if strategy.name in STRATEGIES:
         raise ReproError(f"strategy {strategy.name!r} already registered")
     STRATEGIES[strategy.name] = strategy
-    # The driver times each step under ``step_kind``, inside the
-    # runtime's ``kernel`` phase.
-    register_subset_phase(strategy.step_kind)
     return strategy
 
 

@@ -122,7 +122,7 @@ class IntersectionStrategy:
     #: registry key (also the ``GpuOptions.kernel`` value).
     name: str = ""
     #: warp-step kind recorded for each intersection step
-    #: (``KernelReport.warp_steps`` key and hostprof section).
+    #: (the ``KernelReport.warp_steps`` key).
     step_kind: str = ""
     #: per-lane register names; the driver allocates one int64 pool
     #: column per name.

@@ -5,16 +5,19 @@ into subgraphs which can be processed independently.  This … would allow
 to count triangles in graphs which do not fit into the GPU memory."
 
 Scheme (Suri–Vassilvitskii / Chu–Cheng flavored, exact): partition the
-vertex set into ``num_parts`` hash buckets.  Any triangle's corners span
-a part-set P of size ≤ 3, so counting every induced subgraph over part
-subsets Q (|Q| ≤ 3) and Möbius-inverting
+vertex set into ``num_parts`` = p hash buckets.  Any triangle's corners
+span a part-set of size ≤ 3, so by inclusion–exclusion
 
-    g(P) = Σ_{Q ⊆ P} (−1)^{|P|−|Q|} · f(Q),     total = Σ_{|P| ≤ 3} g(P)
+    total = Σ_{|Q| ≤ 3} w(|Q|) · f(Q),
+    w(q) = Σ_{s=q}^{3} (−1)^{s−q} · C(p−q, s−q)
 
-gives the exact global count while every single counting call sees only
-an induced subgraph — each of which can fit a memory budget the whole
-graph cannot.  The redundancy (each f(Q) feeding several P's) is the
-overhead the paper is unsure would pay off; the bench measures it.
+where f(Q) counts the subgraph induced by the parts in Q.  Subsets whose
+weight is zero are never counted (at p ≤ 3 that leaves only the whole
+graph); every other call sees only an induced subgraph — each of which
+can fit a memory budget the whole graph cannot.  The redundancy (an arc
+counted in several overlapping subsets) is the overhead the paper is
+unsure would pay off; the bench measures it.
+:mod:`repro.core.distributed` runs the same jobs across several GPUs.
 
 Each subgraph can be counted on the CPU (default, fast) or on a
 simulated GPU with a *small* memory cap — the demonstration that the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -32,6 +36,37 @@ from repro.cpu.forward import forward_count_cpu
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.types import TriangleCount
+
+
+def subset_weight(subset_size: int, num_parts: int) -> int:
+    """Inclusion–exclusion weight of an induced subgraph over
+    ``subset_size`` parts (see module docstring)."""
+    return sum((-1) ** (s - subset_size)
+               * comb(num_parts - subset_size, s - subset_size)
+               for s in range(subset_size, min(3, num_parts) + 1))
+
+
+def subset_jobs(graph: EdgeArray, num_parts: int, seed: int = 0,
+                ) -> list[tuple[tuple[int, ...], int, np.ndarray]]:
+    """The scheme's counting jobs, ``(parts, weight, arc_mask)`` for every
+    part subset with non-zero weight, smallest subsets first.
+
+    Vertices go to parts by a seeded uniform hash; ``arc_mask`` selects
+    the arcs with both endpoints in ``parts``.
+    """
+    rng = np.random.default_rng(seed)
+    part_of = rng.integers(0, num_parts, size=max(graph.num_nodes, 1))
+    pf = part_of[graph.first] if graph.num_arcs else np.zeros(0, np.int64)
+    ps = part_of[graph.second] if graph.num_arcs else np.zeros(0, np.int64)
+    jobs = []
+    for size in range(1, min(3, num_parts) + 1):
+        weight = subset_weight(size, num_parts)
+        if weight == 0:
+            continue
+        for parts in combinations(range(num_parts), size):
+            jobs.append((parts, weight,
+                         np.isin(pf, parts) & np.isin(ps, parts)))
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -97,53 +132,20 @@ def partitioned_count_triangles(graph: EdgeArray,
     if counter is None:
         counter = lambda g: forward_count_cpu(g).triangles  # noqa: E731
 
-    n = graph.num_nodes
-    if num_parts == 1 or n == 0:
+    if num_parts == 1 or graph.num_nodes == 0:
         t = counter(graph)
         return PartitionedResult(t, num_parts, 1, graph.num_arcs,
                                  graph.num_arcs)
 
-    # Randomized hash partition (seeded, balanced in expectation).
-    rng = np.random.default_rng(seed)
-    part_of = rng.integers(0, num_parts, size=n)
-
-    pf = part_of[graph.first]
-    ps = part_of[graph.second]
-
-    f_cache: dict[frozenset, int] = {}
-    largest = 0
-    total_arc_work = 0
-    calls = 0
-
-    def f(parts: frozenset) -> int:
-        """Triangles of the subgraph induced by the given parts."""
-        nonlocal largest, total_arc_work, calls
-        if parts in f_cache:
-            return f_cache[parts]
-        mask = np.isin(pf, list(parts)) & np.isin(ps, list(parts))
+    jobs = subset_jobs(graph, num_parts, seed)
+    total = largest = arc_work = 0
+    for _, weight, mask in jobs:
         sub = EdgeArray(graph.first[mask], graph.second[mask],
-                        num_nodes=n, check=False)
+                        num_nodes=graph.num_nodes, check=False)
         largest = max(largest, sub.num_arcs)
-        total_arc_work += sub.num_arcs
-        calls += 1
-        value = counter(sub)
-        f_cache[parts] = value
-        return value
-
-    total = 0
-    all_parts = range(num_parts)
-    for size in (1, 2, 3):
-        for combo in combinations(all_parts, size):
-            p_set = frozenset(combo)
-            # g(P): triangles whose corner support is exactly P.
-            g = 0
-            for q_size in range(1, size + 1):
-                sign = (-1) ** (size - q_size)
-                for q in combinations(sorted(p_set), q_size):
-                    g += sign * f(frozenset(q))
-            total += g
-
+        arc_work += sub.num_arcs
+        total += weight * counter(sub)
     return PartitionedResult(triangles=total, num_parts=num_parts,
-                             subgraph_counts=calls,
+                             subgraph_counts=len(jobs),
                              largest_subgraph_arcs=largest,
-                             redundant_arc_work=total_arc_work)
+                             redundant_arc_work=arc_work)

@@ -432,13 +432,11 @@ class CacheModel:
             c[4] += n_trans * sb
             c[5] += (n_trans - hit2) * sb
 
-    def sync(self, caches: bool = False) -> tuple[tuple[int, ...], float, int]:
-        """Hand over the counter deltas since the last sync.
-
-        Returns ``(deltas, busy_seconds, calls)``; in-process there is
-        no separate busy time to report, and :attr:`l1`/:attr:`l2` are
-        always current, so ``caches`` has nothing to fetch.
+    def sync(self, caches: bool = False) -> tuple[int, ...]:
+        """Hand over the counter deltas since the last sync
+        (:data:`COUNTER_NAMES` order).  In-process :attr:`l1`/:attr:`l2`
+        are always current, so ``caches`` has nothing to fetch.
         """
         deltas = tuple(self._counts)
         self._counts = [0] * len(COUNTER_NAMES)
-        return deltas, 0.0, 0
+        return deltas

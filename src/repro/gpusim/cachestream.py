@@ -30,9 +30,8 @@ pipe so an abandoned sync cannot wedge the worker.
 Sync points are the engine's ``report``, ``l1`` and ``l2`` properties:
 they flush the stream, wait for the worker to reach the sync record and
 merge the counter deltas it returns (``l1``/``l2`` also copy the cache
-arrays back).  The worker's busy seconds are reported with the deltas.
-A model is dropped when its handle (its engine) is collected.  If the
-worker dies, the next flush or sync raises
+arrays back).  A model is dropped when its handle (its engine) is
+collected.  If the worker dies, the next flush or sync raises
 :class:`~repro.errors.CacheWorkerError`; no wait is unbounded.
 """
 
@@ -51,7 +50,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
-from time import monotonic, perf_counter
+from time import monotonic
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,10 +62,9 @@ from repro.gpusim.cache import (COUNTER_NAMES, CacheArray, CacheModel,
 if TYPE_CHECKING:
     from repro.gpusim.device import DeviceSpec
 
-#: What a sync hands back: counter deltas (:data:`COUNTER_NAMES` order),
-#: the worker's busy seconds and applied calls since the last sync, and
-#: copies of the (L1, L2) arrays when they were asked for.
-SyncReply = tuple[tuple[int, ...], float, int,
+#: What a sync hands back: counter deltas (:data:`COUNTER_NAMES` order)
+#: and copies of the (L1, L2) arrays when they were asked for.
+SyncReply = tuple[tuple[int, ...],
                   "tuple[CacheArray | None, CacheArray] | None"]
 
 #: Calls per stream message; a message is also closed once its keys
@@ -102,12 +100,10 @@ _WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
 class _Slot:
     """Worker-side state of one engine's model."""
 
-    __slots__ = ("model", "seconds", "calls", "error")
+    __slots__ = ("model", "error")
 
     def __init__(self, geometry: list[int]) -> None:
         self.model = CacheModel(*geometry)
-        self.seconds = 0.0
-        self.calls = 0
         self.error: str | None = None
 
 
@@ -163,13 +159,10 @@ def worker_main(stream_fd: int, replies_fd: int, idle_fd: int) -> None:
                     slot = slots[mid]
                     if slot.error is not None:
                         continue
-                    t0 = perf_counter()
                     try:
                         slot.model.apply(data)
                     except Exception as exc:  # reported at the next sync
                         slot.error = f"{type(exc).__name__}: {exc}"
-                    slot.seconds += perf_counter() - t0
-                    slot.calls += 1
                 elif kind == _OPEN:
                     slots[mid] = _Slot(data.tolist())
                 elif kind == _CLOSE:
@@ -181,12 +174,9 @@ def worker_main(stream_fd: int, replies_fd: int, idle_fd: int) -> None:
                         reply(seq, got.error if got is not None
                               else f"no cache model {mid}", None)
                         continue
-                    deltas, _, _ = got.model.sync()
                     caches = ((got.model.l1, got.model.l2)
                               if kind == _SYNC_CACHES else None)
-                    reply(seq, None, (deltas, got.seconds, got.calls, caches))
-                    got.seconds = 0.0
-                    got.calls = 0
+                    reply(seq, None, (got.model.sync(), caches))
     except BrokenPipeError:             # the caller closed its end
         return
 
@@ -273,7 +263,7 @@ class Transport:
 
     def request(self, mid: int, caches: bool) -> SyncReply:
         """Sync model ``mid``: flush, wait for the worker to reach the
-        sync record, return ``(deltas, busy_seconds, calls, caches)``."""
+        sync record, return ``(deltas, caches)``."""
         self._seq += 1
         self._answer = None
         self._meta += (_SYNC_CACHES if caches else _SYNC, mid, 1)
@@ -410,15 +400,15 @@ class RemoteCacheModel:
                 or (t._calls >= EAGER_CALLS and t.idle[0])):
             t.flush()
 
-    def sync(self, caches: bool = False) -> tuple[tuple[int, ...], float, int]:
+    def sync(self, caches: bool = False) -> tuple[int, ...]:
         if not (self.dirty or (caches and not self._fetched)):
-            return _NO_DELTAS, 0.0, 0
-        deltas, seconds, calls, arrays = self._t.request(self.id, caches)
+            return _NO_DELTAS
+        deltas, arrays = self._t.request(self.id, caches)
         self.dirty = False
         self._fetched = caches
         if arrays is not None:
             self.l1, self.l2 = arrays
-        return deltas, seconds, calls
+        return deltas
 
 
 _transport: Transport | None = None

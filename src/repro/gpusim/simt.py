@@ -24,7 +24,6 @@ data while it counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.gpusim.cache import COUNTER_NAMES, CacheArray
 from repro.gpusim.cachestream import open_cache_model
 from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.hostprof import current_host_profiler
 from repro.gpusim.memory import DeviceBuffer
 from repro.utils import boundary_mask, pow2_shift
 
@@ -249,22 +247,17 @@ class SimtEngine:
         # whether the coalescing sort may run on int32 (half the
         # bandwidth of the int64 build; NumPy sorts scale with width).
         self._smw_max = int(self._smw.max()) if self.num_warps else 0
-        #: ambient host profiler (see :mod:`repro.gpusim.hostprof`);
-        #: ``None`` keeps the hot paths hook-free.
-        self.host_profiler = current_host_profiler()
 
     # ------------------------------------------------------------------ #
     # sync points
     # ------------------------------------------------------------------ #
 
     def _sync(self, caches: bool = False) -> None:
-        deltas, busy, calls = self._model.sync(caches)
+        deltas = self._model.sync(caches)
         rep = self._report
         for name, delta in zip(COUNTER_NAMES, deltas):
             if delta:
                 setattr(rep, name, getattr(rep, name) + delta)
-        if busy and self.host_profiler is not None:
-            self.host_profiler.add("cache-worker", busy, calls)
 
     @property
     def report(self) -> KernelReport:
@@ -319,8 +312,6 @@ class SimtEngine:
         n = len(indices)
         if n == 0:
             return buf.data[indices]
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
         if indices.dtype != np.int64:
             indices = indices.astype(np.int64)
         if self.sanitizer is not None:
@@ -349,8 +340,6 @@ class SimtEngine:
             else:
                 key = addr // self.device.sector_bytes
             self._apply(np.array([key], dtype=np.int64))
-            if prof is not None:
-                prof.add("cache-model", perf_counter() - t0)
             return values
 
         warp_ids = np.asarray(thread_ids)
@@ -388,8 +377,6 @@ class SimtEngine:
         trans >>= self._warp_bits
         rep.transactions += len(trans)
         self._apply(trans)
-        if prof is not None:
-            prof.add("cache-model", perf_counter() - t0)
         return values
 
     def write(self, buf: DeviceBuffer, indices: np.ndarray,
@@ -400,8 +387,6 @@ class SimtEngine:
         indices = np.asarray(indices)
         if len(indices) == 0:
             return
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
         if self.sanitizer is not None:
             indices = self.sanitizer.on_access(buf, indices, thread_ids,
                                                "write")
@@ -418,8 +403,6 @@ class SimtEngine:
         batch = coalesce(warp_ids, addrs, self.device.sector_bytes)
         self._report.transactions += batch.transactions
         self._report.dram_bytes += batch.transactions * self.device.sector_bytes
-        if prof is not None:
-            prof.add("cache-model", perf_counter() - t0)
 
     def atomic_add(self, buf: DeviceBuffer, indices: np.ndarray,
                    values: np.ndarray, thread_ids: np.ndarray) -> None:
@@ -444,8 +427,6 @@ class SimtEngine:
                 raise KernelFault(
                     f"out-of-bounds atomic on {buf.name!r}: index range "
                     f"[{lo}, {hi}] outside [0, {len(buf.data)})")
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
         np.add.at(buf.data, indices, values)
         addrs = buf.addresses(indices)
         warp_ids = np.asarray(thread_ids) // self.warp_size
@@ -457,8 +438,6 @@ class SimtEngine:
         rep.transactions += batch.transactions
         rep.l2_bytes += 2 * sectors.transactions * self.device.sector_bytes
         rep.dram_bytes += sectors.transactions * self.device.sector_bytes
-        if prof is not None:
-            prof.add("cache-model", perf_counter() - t0)
 
     # ------------------------------------------------------------------ #
     # execution accounting
@@ -479,8 +458,6 @@ class SimtEngine:
         n_warps = len(warp_ids)
         if n_warps == 0:
             return
-        prof = self.host_profiler
-        t0 = perf_counter() if prof is not None else 0.0
         rep = self._report
         rep.warp_steps[kind] = rep.warp_steps.get(kind, 0) + n_warps
         rep.instruction_slots += n_warps * instructions
@@ -489,5 +466,3 @@ class SimtEngine:
         np.add.at(rep.sm_instruction_slots, self.warp_sm[warp_ids], instructions)
         if self.sanitizer is not None:
             self.sanitizer.on_step_end(kind)
-        if prof is not None:
-            prof.add("accounting", perf_counter() - t0)

@@ -5,7 +5,7 @@ as :class:`KernelSpec`\\ s (name, host body, buffer facts) and
 every pipeline goes through :func:`launch`, which owns device
 allocation, H2D/D2H transfer events on a :class:`StreamTimeline`,
 engine construction from :class:`~repro.core.options.GpuOptions`,
-sanitizer attachment, hostprof phases, and report/timeline assembly.
+sanitizer attachment, and report/timeline assembly.
 
 Layering (see docs/architecture.md)::
 
@@ -14,9 +14,8 @@ Layering (see docs/architecture.md)::
                     core pipelines / serve / bench
 """
 
-from repro.runtime.launch import (PHASE_D2H, PHASE_FREE, PHASE_H2D,
-                                  PHASE_KERNEL, KernelLaunch, LaunchPlan,
-                                  build_engine, dispatch_kernel, launch)
+from repro.runtime.launch import (KernelLaunch, LaunchPlan, build_engine,
+                                  dispatch_kernel, launch)
 from repro.runtime.pipeline import (PipelinedPlan, pipelined_cpu_preprocess,
                                     pipelined_launch)
 from repro.runtime.spec import (BINARY_SEARCH, HASH, LOCAL, MERGE,
@@ -35,6 +34,5 @@ __all__ = [
     "LaunchPlan", "KernelLaunch", "launch", "dispatch_kernel",
     "build_engine",
     "PipelinedPlan", "pipelined_launch", "pipelined_cpu_preprocess",
-    "PHASE_H2D", "PHASE_KERNEL", "PHASE_D2H", "PHASE_FREE",
     "StreamTimeline", "StreamEvent", "StreamDep", "DEFAULT_STREAM",
 ]

@@ -23,18 +23,11 @@ historical pipelines (device addresses feed the cache model, so even
 7. device-reduce the result buffer, cross-check against the kernel's
    own count, and record the D2H readback event(s);
 8. free device memory and detach the sanitizer (always, via finally).
-
-Host-side wall-clock is attributed to the unified hostprof phases
-``h2d`` / ``kernel`` / ``d2h`` / ``free`` whenever a
-:class:`~repro.gpusim.hostprof.HostProfiler` is installed, so
-``==SERVE==`` sheets and bench phase totals are comparable across
-kernels and pipelines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -45,7 +38,6 @@ from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim import thrustlike
 from repro.gpusim.device import DeviceSpec, GTX_980
-from repro.gpusim.hostprof import current_host_profiler
 from repro.gpusim.memory import DeviceBuffer, DeviceMemory
 from repro.gpusim.simt import KernelReport, SimtEngine
 from repro.gpusim.timing import KernelTiming, Timeline, time_kernel
@@ -55,16 +47,6 @@ from repro.types import COUNT_DTYPE
 
 if TYPE_CHECKING:
     from repro.sanitize import Sanitizer
-
-#: The unified hostprof phase vocabulary (see module docstring).  The
-#: kernel-tick sections (``setup`` and each strategy's ``step_kind``)
-#: and the engine subsets (``cache-model``/``accounting``) nest inside
-#: ``kernel``.
-PHASE_H2D = "h2d"
-PHASE_KERNEL = "kernel"
-PHASE_D2H = "d2h"
-PHASE_FREE = "free"
-
 
 def build_engine(device: DeviceSpec, options: GpuOptions,
                  sanitizer: "Sanitizer | None" = None) -> SimtEngine:
@@ -94,15 +76,9 @@ def dispatch_kernel(kernel: KernelSpec | str, engine: SimtEngine,
     bodies raise a typed error without it.
     """
     spec = resolve_kernel(kernel)
-    prof = current_host_profiler()
-    t0 = perf_counter() if prof is not None else 0.0
-    result: KernelResult = spec.body(engine, pre, options, lo=lo, hi=hi,
-                                     result_buf=result_buf,
-                                     per_vertex_buf=per_vertex_buf,
-                                     memory=memory)
-    if prof is not None:
-        prof.add(PHASE_KERNEL, perf_counter() - t0)
-    return result
+    return spec.body(engine, pre, options, lo=lo, hi=hi,
+                     result_buf=result_buf, per_vertex_buf=per_vertex_buf,
+                     memory=memory)
 
 
 @dataclass
@@ -204,7 +180,6 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         # Attach before the first allocation so initcheck sees the
         # result buffer below and every preprocessing buffer.
         memory.sanitizer = sanitizer
-    prof = current_host_profiler()
     try:
         engine = build_engine(device, options, sanitizer)
         # The per-thread result array lives for the whole run;
@@ -225,13 +200,10 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
             per_vertex_buf = memory.alloc(
                 "per_vertex", np.zeros(max(num_vertices, 1), np.int64))
         if pre is None:
-            t0 = perf_counter() if prof is not None else 0.0
             assert plan.graph is not None
             pre_fn = plan.preprocess_fn if plan.preprocess_fn is not None \
                 else preprocess
             pre = pre_fn(plan.graph, device, memory, timeline, options)
-            if prof is not None:
-                prof.add(PHASE_H2D, perf_counter() - t0)
 
         kres = dispatch_kernel(spec, engine, pre, options,
                                lo=plan.lo, hi=plan.hi,
@@ -242,7 +214,6 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         if plan.record_kernel_event:
             timeline.add(spec.display_name, timing.kernel_ms, phase="count")
 
-        t0 = perf_counter() if prof is not None else 0.0
         total = thrustlike.reduce_sum(
             device, result_buf,
             timeline if plan.reduce_timeline else None, phase="reduce")
@@ -277,13 +248,8 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         elif plan.d2h_events:
             record_d2h("d2h result",
                        memory.d2h_ms(np.dtype(COUNT_DTYPE).itemsize))
-        if prof is not None:
-            prof.add(PHASE_D2H, perf_counter() - t0)
         if plan.free_all:
-            t0 = perf_counter() if prof is not None else 0.0
             memory.free_all()
-            if prof is not None:
-                prof.add(PHASE_FREE, perf_counter() - t0)
     finally:
         if sanitizer is not None:
             memory.sanitizer = None

@@ -4,8 +4,8 @@ A kernel, to the runtime, is: a registry name, a display label for the
 simulated timeline, one host *body*, two buffer-shape facts (does it
 need the SoA layout, does it accumulate a per-vertex array), and the
 ``GpuOptions.kernel`` value that selects it in the pipelines.  Everything else — device allocation, H2D/D2H
-transfer events, engine construction, sanitizer wiring, hostprof
-phases, report/timeline assembly — is owned by
+transfer events, engine construction, sanitizer wiring,
+report/timeline assembly — is owned by
 :func:`repro.runtime.launch` and written exactly once.
 
 Kernel authors add a strategy by writing the body (a function of

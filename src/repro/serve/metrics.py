@@ -39,9 +39,6 @@ class ServeReport:
     faults: int = 0
     #: jobs that ran the partitioned/distributed path.
     fallbacks: int = 0
-    #: host-side wall-clock attribution of the replay's simulator work
-    #: (see :mod:`repro.gpusim.hostprof`); ``None`` when not collected.
-    host_profiler: object | None = None
     #: total sanitizer findings across all pipeline runs (only nonzero
     #: when jobs carry ``options.sanitize != "off"``; a clean fleet
     #: serves every trace at 0).
@@ -249,9 +246,4 @@ class ServeReport:
                    f"{dev.jobs_completed} jobs, cache "
                    f"{human_bytes(dev.cache.bytes_used)} in "
                    f"{len(dev.cache)} entries")
-        if self.host_profiler is not None and self.host_profiler.phases:
-            from repro.gpusim.hostprof import format_host_profile
-            out.write(format_host_profile(
-                self.host_profiler,
-                header="  host simulator wall-clock (this replay):"))
         return out.getvalue()

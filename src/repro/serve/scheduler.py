@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING
 from repro.core.distributed import distributed_count_triangles
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.errors import OutOfDeviceMemoryError, ReproError
-from repro.gpusim.hostprof import HostProfiler, host_profiling
 from repro.serve.cache import preprocessed_nbytes
 from repro.serve.fleet import Fleet, FleetDevice
 from repro.serve.metrics import ServeReport
@@ -118,24 +117,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
 
     def run(self, jobs: list[ServeJob]) -> ServeReport:
-        """Replay ``jobs`` (an arrival-stamped trace) to completion.
-
-        The whole replay runs under an ambient
-        :class:`~repro.gpusim.hostprof.HostProfiler`, so every launch
-        (jobs run through :func:`repro.runtime.launch` via
-        ``gpu_count_triangles``) attributes its host wall-clock in the
-        unified phase vocabulary — ``h2d`` / ``kernel`` / ``d2h`` /
-        ``free``, plus the kernel-section subsets (setup / merge /
-        cache-model / accounting) — to the report's ``host_profiler``;
-        the ``==SERVE==`` sheet prints the breakdown.
-        """
-        profiler = HostProfiler()
-        with host_profiling(profiler):
-            report = self._run_profiled(jobs)
-        report.host_profiler = profiler
-        return report
-
-    def _run_profiled(self, jobs: list[ServeJob]) -> ServeReport:
+        """Replay ``jobs`` (an arrival-stamped trace) to completion."""
         report = ServeReport(fleet=self.fleet, jobs=list(jobs),
                              cache_enabled=self.cache_enabled)
         arrivals = sorted(jobs, key=lambda j: (j.arrival_ms, j.job_id))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distributed import (distributed_count_triangles, lpt_assign,
-                                    subset_weight)
+from repro.core.distributed import distributed_count_triangles, lpt_assign
+from repro.core.partitioned import subset_weight
 from repro.cpu.matmul import matmul_count
 from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.graphs.edgearray import EdgeArray

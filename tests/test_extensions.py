@@ -102,3 +102,14 @@ class TestPartitioned:
     def test_star_graph(self):
         res = partitioned_count_triangles(star_graph(30), num_parts=3)
         assert res.triangles == 0
+
+    @pytest.mark.parametrize("num_parts", [2, 3])
+    def test_zero_weight_subsets_are_not_counted(self, small_ws, oracle,
+                                                 num_parts):
+        """With at most three parts every subset but the whole vertex
+        set has inclusion-exclusion weight 0: one counting call."""
+        res = partitioned_count_triangles(small_ws, num_parts=num_parts,
+                                          seed=2)
+        assert res.subgraph_counts == 1
+        assert res.largest_subgraph_arcs == small_ws.num_arcs
+        assert res.triangles == oracle(small_ws)

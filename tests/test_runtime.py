@@ -1,9 +1,7 @@
-"""The unified kernel runtime: registry, dispatch, launch lifecycle,
-stream timeline and the hostprof phase vocabulary."""
+"""The unified kernel runtime: registry, dispatch, launch lifecycle
+and stream timeline."""
 
 from __future__ import annotations
-
-from time import perf_counter
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.core.partitioned import (gpu_subgraph_counter,
 from repro.cpu.forward import forward_count_cpu
 from repro.errors import ReproError
 from repro.gpusim.device import GTX_980, NVS_5200M, TESLA_C2050
-from repro.gpusim.hostprof import HostProfiler, host_profiling
 from repro.gpusim.memory import DeviceMemory
 from repro.runtime import (KernelSpec, LaunchPlan, StreamTimeline,
                            get_kernel, kernel_names, launch,
@@ -101,32 +98,6 @@ class TestLaunch:
         assert isinstance(run.timeline, StreamTimeline)
         # Single-stream run: serial protocol == stream schedule.
         assert run.timeline.overlap_savings_ms == pytest.approx(0.0)
-
-    def test_hostprof_unified_phases(self, small_rmat):
-        profiler = HostProfiler()
-        with host_profiling(profiler):
-            launch(LaunchPlan(kernel="merge", graph=small_rmat))
-        for phase in ("h2d", "kernel", "d2h", "free"):
-            assert phase in profiler.phases, phase
-        # Kernel tick sections are recorded but nest inside "kernel":
-        # the top-level total must not double-count them.
-        assert "merge" in profiler.phases
-        top = sum(profiler.phases[p].seconds
-                  for p in ("h2d", "kernel", "d2h", "free"))
-        assert profiler.total_seconds == pytest.approx(top)
-
-    @pytest.mark.parametrize("kernel", ["two_pointer", "binary_search",
-                                        "hash"])
-    def test_hostprof_total_within_wall_time(self, small_rmat, kernel):
-        """Every strategy's step section nests inside ``kernel``, so the
-        top-level total never exceeds the call's own wall time."""
-        profiler = HostProfiler()
-        with host_profiling(profiler):
-            t0 = perf_counter()
-            gpu_count_triangles(small_rmat,
-                                options=GpuOptions(kernel=kernel))
-            wall = perf_counter() - t0
-        assert profiler.total_seconds <= wall
 
     def test_sanitizer_attached_when_requested(self, small_rmat):
         run = launch(LaunchPlan(kernel="merge", graph=small_rmat,
