@@ -257,7 +257,7 @@ SAN104 = register(CheckSpec(
 
 
 # --------------------------------------------------------------------- #
-# SAN105 — StreamTimeline cursor pokes outside the runtime
+# SAN105 — Timeline cursor pokes outside gpusim
 # --------------------------------------------------------------------- #
 
 def _run_san105(ctx: ModuleContext) -> list[Finding]:
@@ -268,7 +268,7 @@ def _run_san105(ctx: ModuleContext) -> list[Finding]:
             continue
         out.append(SAN105.finding(
             ctx.path, node.lineno, node.col_offset,
-            "._cursors is StreamTimeline-internal state; use "
+            "._cursors is Timeline-internal state; use "
             "stream_time() to read a stream clock and wait_for() to "
             "record ordering"))
     return out
@@ -276,6 +276,6 @@ def _run_san105(ctx: ModuleContext) -> list[Finding]:
 
 SAN105 = register(CheckSpec(
     id="SAN105", name="cursor-pokes",
-    summary="StreamTimeline._cursors accessed outside repro.runtime",
+    summary="Timeline._cursors accessed outside repro.gpusim",
     severity="error", run=_run_san105,
-    skip_parts=("runtime",)))
+    skip_parts=("gpusim",)))

@@ -1,6 +1,6 @@
-"""SAN202 — stream-wait hygiene over ``StreamTimeline.wait_for`` edges.
+"""SAN202 — stream-wait hygiene over ``Timeline.wait_for`` edges.
 
-The executed pipelines (PR 7) order real work with
+The executed pipelines order real work with
 ``timeline.wait_for(stream, upstream)`` — the ``cudaStreamWaitEvent``
 analogue: the waiting stream advances to everything *already issued* on
 the upstream.  Two static bug shapes follow directly from that
@@ -16,7 +16,7 @@ semantics:
   degenerate cycle form of the same bug and is reported as a cycle.
 
 Stream operands are matched symbolically (the unparsed expression, with
-``DEFAULT_STREAM``/``0`` canonicalized), so ``pipe.copy_stream``-style
+``DEFAULT_STREAM``/``0`` canonicalized), so ``COPY_STREAM``-style
 ids resolve without constant folding.  Arithmetic stream ids (the
 multi-GPU ring's ``wait_for(d, d - 1)``) are out of scope and skipped —
 intraprocedural symbol matching cannot prove anything about them.

@@ -4,7 +4,7 @@ timeline.
 ``DeviceMemory.h2d_ms``/``d2h_ms`` *model* a transfer: they return the
 milliseconds the copy would take and mutate nothing.  The cost only
 exists once something stamps it — normally as an argument inside a
-``StreamTimeline.add``/``add_on`` call.  A transfer modeled and then
+``Timeline.add``/``add_on`` call.  A transfer modeled and then
 dropped is the simulator analogue of a real H2D the profiler never
 sees: Table 1 and the figure-1 walls silently under-report copy time.
 
@@ -56,7 +56,7 @@ def _scope_findings(ctx: ModuleContext,
                 ctx.path, call.lineno, call.col_offset,
                 f"{call.func.attr} result discarded — the modeled "
                 "transfer cost never reaches a timeline; pass it to "
-                "StreamTimeline.add/add_on (or drop the call)"))
+                "Timeline.add/add_on (or drop the call)"))
         elif isinstance(node, ast.Assign) and _is_transfer(node.value):
             call = node.value
             assert isinstance(call, ast.Call)
@@ -85,6 +85,6 @@ def _run_san205b(ctx: ModuleContext) -> list[Finding]:
 SAN205B = register(CheckSpec(
     id="SAN205b", name="untimed-transfers",
     summary="h2d_ms/d2h_ms transfer cost computed but never stamped on "
-            "a StreamTimeline",
+            "a Timeline",
     severity="error", run=_run_san205b,
     skip_parts=("gpusim",)))

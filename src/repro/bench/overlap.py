@@ -1,12 +1,13 @@
 """Executed-overlap harness: measured stream schedules vs the model.
 
 The runtime has two *executed* async schedules (as opposed to the
-phase-sum what-ifs the :class:`~repro.runtime.stream.StreamTimeline`
-always modeled):
+phase-sum what-ifs the :class:`~repro.gpusim.timing.Timeline` stream
+schedule always modeled):
 
 * the chunked double-buffered ``†`` pipeline
-  (:mod:`repro.runtime.pipeline`) — CPU host pass overlapping the
-  forward-arc H2D on real streams with ``wait_for`` edges;
+  (``LaunchPlan.pipeline_chunks``, :mod:`repro.core.preprocess`) — CPU
+  host pass overlapping the forward-arc H2D on real streams with
+  ``wait_for`` edges;
 * the ring exchange of :mod:`repro.gpusim.multigpu` — multi-GPU
   broadcast replaced by chunked store-and-forward on per-link streams.
 
@@ -47,7 +48,6 @@ from repro.core.multi_gpu import multi_gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.errors import ReproError
 from repro.graphs.datasets import WORKLOADS
-from repro.runtime import PipelinedPlan, StreamTimeline
 
 #: Pipeline rows: ``†``-protocol workloads (cpu_preprocess forced, the
 #: Section III-D6 leg) where the host pass is the phase worth hiding.
@@ -249,11 +249,8 @@ def run_pipeline_row(name: str, *, chunks: int = 8, seed: int = 0,
 
     serial = gpu_count_triangles(graph, device=device, options=options)
     pipelined = gpu_count_triangles(graph, device=device, options=options,
-                                    mode="pipelined",
-                                    pipeline=PipelinedPlan(chunks=chunks))
+                                    pipeline_chunks=chunks)
 
-    assert isinstance(serial.timeline, StreamTimeline)
-    assert isinstance(pipelined.timeline, StreamTimeline)
     identical = (serial.triangles == pipelined.triangles
                  and serial.kernel_report.counters()
                  == pipelined.kernel_report.counters())
@@ -285,8 +282,6 @@ def run_exchange_row(name: str, num_gpus: int, *, seed: int = 0,
                                                num_gpus=num_gpus,
                                                exchange=mode)
     bcast, ring = runs["broadcast"], runs["ring"]
-    assert isinstance(bcast.timeline, StreamTimeline)
-    assert isinstance(ring.timeline, StreamTimeline)
     identical = (bcast.triangles == ring.triangles
                  and [rep.counters() for rep, _ in bcast.per_device]
                  == [rep.counters() for rep, _ in ring.per_device])

@@ -7,7 +7,7 @@ and the same failure schedule:
   (``plane=None``), exactly the pre-plane serving stack;
 * **plane replay** — the same scheduler with a
   :class:`~repro.serve.plane.ControlPlane` installed (admission,
-  batching, replica groups, degraded tier).
+  replica groups, degraded tier).
 
 Overload here is *capacity collapse*: the trace runs at
 ``rate_multiplier`` × the baseline zipf rate (10× by default, bursty)
@@ -65,8 +65,6 @@ def report_doc(rep: ServeReport) -> dict:
         "p99_ms": rep.p99_ms,
         "cache_hit_rate": rep.cache_hit_rate,
         "launches": rep.launches,
-        "batched_launches": rep.batched_launches,
-        "batched_jobs": rep.batched_jobs,
         "replications": rep.replications,
         "approx_mean_rel_error": rep.approx_mean_rel_error,
     }

@@ -13,19 +13,14 @@ from dataclasses import dataclass, field
 
 from repro.core.autopick import resolve_options
 from repro.core.options import GpuOptions
-from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import DeviceSpec, GTX_980
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.simt import KernelReport
 from repro.gpusim.timing import (KernelTiming, Timeline,
                                  achieved_bandwidth_gbs)
-from repro.runtime import (LaunchPlan, PipelinedPlan, launch,
-                           pipelined_launch, spec_for_options)
+from repro.runtime import LaunchPlan, launch, spec_for_options
 from repro.types import TriangleCount
-
-#: Valid execution modes for :func:`gpu_count_triangles`.
-EXECUTION_MODES = ("serial", "pipelined")
 
 
 @dataclass
@@ -87,8 +82,7 @@ def gpu_count_triangles(graph: EdgeArray,
                         device: DeviceSpec = GTX_980,
                         options: GpuOptions = GpuOptions(),
                         memory: DeviceMemory | None = None,
-                        mode: str = "serial",
-                        pipeline: PipelinedPlan | None = None,
+                        pipeline_chunks: int | None = None,
                         ) -> GpuRunResult:
     """Count triangles in ``graph`` on one simulated ``device``.
 
@@ -104,30 +98,19 @@ def gpu_count_triangles(graph: EdgeArray,
         Pre-built device memory — the bench harness passes one with
         scaled capacity to reproduce the ``†`` memory-pressure behaviour
         at reduced workload scale.
-    mode : str
-        ``"serial"`` (default) runs the paper's measurement protocol —
-        the fidelity mode every reported number uses.  ``"pipelined"``
-        executes the ``†`` leg under the chunked async schedule of
-        :class:`repro.runtime.PipelinedPlan`: host pass double-buffered
-        against the forward-arc H2D on real streams, results and kernel
-        counters bit-identical, ``timeline.makespan_ms`` now a measured
-        quantity (``repro-bench overlap`` gates it against the modeled
-        ``pipelined_ms``).
-    pipeline : PipelinedPlan, optional
-        Schedule parameters for ``mode="pipelined"`` (chunk count,
-        stream ids).
+    pipeline_chunks : int, optional
+        ``None`` (default) runs the paper's serial measurement protocol —
+        the fidelity mode every reported number uses.  An integer
+        executes the ``†`` leg as that many double-buffered chunks (see
+        :attr:`repro.runtime.LaunchPlan.pipeline_chunks`): results and
+        kernel counters identical, ``timeline.makespan_ms`` now a
+        measured quantity (``repro-bench overlap`` gates it against the
+        modeled ``pipelined_ms``).
     """
-    if mode not in EXECUTION_MODES:
-        raise ReproError(f"mode must be one of {EXECUTION_MODES}, "
-                         f"got {mode!r}")
     options = resolve_options(graph, options)
-    plan = LaunchPlan(kernel=spec_for_options(options), graph=graph,
-                      device=device, options=options, memory=memory)
-    if mode == "pipelined":
-        run = pipelined_launch(plan, pipeline if pipeline is not None
-                               else PipelinedPlan())
-    else:
-        run = launch(plan)
+    run = launch(LaunchPlan(kernel=spec_for_options(options), graph=graph,
+                            device=device, options=options, memory=memory,
+                            pipeline_chunks=pipeline_chunks))
     return GpuRunResult(triangles=run.triangles, device=device,
                         options=run.options, timeline=run.timeline,
                         kernel_report=run.report, kernel_timing=run.timing,

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.preprocess import forward_mask
+from repro.core.preprocess import forward_lists
 from repro.cpu.forward import forward_count_cpu, merge_walk
 from repro.cpu.matmul import matmul_count
 from repro.errors import ReproError
 from repro.graphs.csr import build_node_ptr
 from repro.graphs.edgearray import EdgeArray
-from repro.types import TriangleCount, pack_edges, unpack_edges
+from repro.types import TriangleCount
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,6 @@ class HybridResult:
         return TriangleCount(self.triangles)
 
 
-def gpu_hub_counter(device=None, options=None):
-    """A ``hub_counter`` backend that counts T_HHH on a simulated GPU.
-
-    The hybrid decomposition only requires *some* exact counter for the
-    induced hub subgraph; matmul (the paper's suggestion) is the
-    default, and this factory routes that leg through the unified
-    runtime instead — one :func:`repro.runtime.launch` of the merge
-    kernel per call, so the hub leg shares engine selection and
-    sanitizer wiring with every other pipeline.
-    """
-    from repro.core.autopick import resolve_options
-    from repro.core.options import GpuOptions
-    from repro.gpusim.device import GTX_980
-    from repro.runtime import LaunchPlan, launch, spec_for_options
-
-    device = GTX_980 if device is None else device
-    options = GpuOptions() if options is None else options
-
-    def counter(hub_graph: EdgeArray) -> int:
-        # kernel="auto" resolves against the induced hub graph (whose
-        # degree structure, not the full graph's, is what the leg runs
-        # on); explicit kernels resolve to a spec exactly once.
-        opts = resolve_options(hub_graph, options)
-        return launch(LaunchPlan(kernel=spec_for_options(opts),
-                                 graph=hub_graph, device=device,
-                                 options=opts)).triangles
-
-    return counter
-
-
 def hybrid_count_triangles(graph: EdgeArray,
                            hub_fraction: float = 0.01,
                            hub_counter=None) -> HybridResult:
@@ -98,8 +68,11 @@ def hybrid_count_triangles(graph: EdgeArray,
     hub_counter : callable(EdgeArray) -> int, optional
         Exact counter for the induced hub subgraph (T_HHH).  Defaults
         to sparse matmul (the Alon–Yuster–Zwick ingredient the paper
-        names); :func:`gpu_hub_counter` counts that leg on a simulated
-        GPU through the unified runtime instead.
+        names).  To count that leg on a simulated GPU through the
+        unified runtime instead, pass
+        ``lambda g: gpu_count_triangles(g, device=…, options=…).triangles``
+        (:func:`repro.core.forward_gpu.gpu_count_triangles`; a
+        ``kernel="auto"`` option resolves against the induced hub graph).
     """
     if not (0.0 <= hub_fraction <= 1.0):
         raise ReproError(f"hub_fraction must be in [0, 1], got {hub_fraction}")
@@ -130,9 +103,7 @@ def hybrid_count_triangles(graph: EdgeArray,
 
     # Forward structures: walk *all* forward arcs against adjacency lists
     # containing only non-hub (lower) entries.
-    keep = forward_mask(graph.first, graph.second, deg)
-    packed_all = np.sort(pack_edges(graph.first[keep], graph.second[keep]))
-    walk_u, walk_v = unpack_edges(packed_all)
+    walk_u, walk_v, _ = forward_lists(graph)
 
     content_ok = ~is_hub[walk_u]
     adj = walk_u[content_ok]

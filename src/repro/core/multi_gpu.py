@@ -21,8 +21,8 @@ from repro.graphs.edgearray import EdgeArray
 from repro.gpusim import thrustlike
 from repro.gpusim.device import DeviceSpec, TESLA_C2050
 from repro.gpusim.multigpu import MultiGpuContext
-from repro.runtime import (LaunchPlan, StreamTimeline, launch,
-                           spec_for_options)
+from repro.gpusim.timing import Timeline
+from repro.runtime import LaunchPlan, launch, spec_for_options
 from repro.types import COUNT_DTYPE
 
 #: Valid multi-GPU exchange schedules (see :mod:`repro.gpusim.multigpu`).
@@ -48,7 +48,18 @@ def multi_gpu_count_triangles(graph: EdgeArray,
     Returns a :class:`GpuRunResult` whose ``kernel_report``/``timing``
     are the *slowest* device's (it decides the counting phase) and whose
     ``per_device`` list carries every card's (report, timing) pair.
+
+    The sanitizer is not wired into this pipeline: a run with
+    ``options.sanitize`` other than ``"off"`` is a typed error rather
+    than a silently unchecked run — sanitize on the single-GPU pipeline
+    (:func:`repro.core.forward_gpu.gpu_count_triangles`), which runs the
+    same kernels.
     """
+    if options.sanitize != "off":
+        raise ReproError(
+            f"multi_gpu_count_triangles runs no sanitizer (options.sanitize="
+            f"{options.sanitize!r}); sanitize the kernel on the single-GPU "
+            "pipeline, gpu_count_triangles, instead")
     if exchange not in EXCHANGE_MODES:
         raise ReproError(f"exchange must be one of {EXCHANGE_MODES}, "
                          f"got {exchange!r}")
@@ -63,7 +74,7 @@ def multi_gpu_count_triangles(graph: EdgeArray,
     from repro.core.autopick import resolve_options
     options = resolve_options(graph, options)
 
-    timeline = StreamTimeline()
+    timeline = Timeline()
     pre = preprocess(graph, device, context.primary, timeline, options)
 
     # Exchange the preprocessed structures (device 0 already holds
@@ -98,17 +109,13 @@ def multi_gpu_count_triangles(graph: EdgeArray,
                                  num_nodes=pre.num_nodes,
                                  num_forward_arcs=pre.num_forward_arcs,
                                  used_cpu_fallback=pre.used_cpu_fallback)
-        # Per-slice launch: this driver owns the aggregated timeline
-        # events (max-over-devices count, overlapped reduces) and the
-        # context owns teardown, so the per-launch pieces are off.
+        # A slice launch (it gets preprocessed structures): this driver
+        # owns the aggregated timeline events (max-over-devices count,
+        # overlapped reduces) and the context owns teardown.
         run = launch(LaunchPlan(kernel=spec, device=device, options=options,
                                 memory=context.memories[d],
                                 preprocessed=pre_d, lo=lo, hi=hi,
-                                result_name=f"result@dev{d}",
-                                attach_sanitizer=False,
-                                record_kernel_event=False,
-                                reduce_timeline=False, d2h_events=False,
-                                free_all=False))
+                                result_name=f"result@dev{d}"))
         triangles += run.triangles
         per_device.append((run.report, run.timing))
         if run.timing.kernel_ms >= count_ms:

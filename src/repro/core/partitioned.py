@@ -81,35 +81,6 @@ class PartitionedResult:
         return TriangleCount(self.triangles)
 
 
-def gpu_subgraph_counter(device=None, options=None):
-    """A ``counter`` backend that runs each induced subgraph on a
-    simulated GPU via the unified runtime.
-
-    This is the demonstration the module docstring promises: point the
-    partitioned scheme at a device whose memory the *whole* graph
-    exceeds, and every induced-subgraph call still fits — each call is
-    one full :func:`repro.runtime.launch` lifecycle (alloc, H2D,
-    kernel, reduce, D2H, free) on a fresh
-    :class:`~repro.gpusim.memory.DeviceMemory`.
-    """
-    from repro.core.autopick import resolve_options
-    from repro.core.options import GpuOptions
-    from repro.gpusim.device import GTX_980
-    from repro.runtime import LaunchPlan, launch, spec_for_options
-
-    device = GTX_980 if device is None else device
-    options = GpuOptions() if options is None else options
-
-    def counter(sub: EdgeArray) -> int:
-        # kernel="auto" resolves per induced subgraph — partitions of a
-        # skewed graph can have very different degree structure.
-        opts = resolve_options(sub, options)
-        return launch(LaunchPlan(kernel=spec_for_options(opts), graph=sub,
-                                 device=device, options=opts)).triangles
-
-    return counter
-
-
 def partitioned_count_triangles(graph: EdgeArray,
                                 num_parts: int = 4,
                                 counter=None,
@@ -123,9 +94,12 @@ def partitioned_count_triangles(graph: EdgeArray,
         3/p-ish of the graph (plus skew).
     counter : callable(EdgeArray) -> int, optional
         Counting backend per subgraph; defaults to the CPU forward
-        algorithm.  :func:`gpu_subgraph_counter` supplies the GPU
-        backend — counting a graph that exceeds a single device's
-        memory, one runtime launch per induced subgraph.
+        algorithm.  For the GPU backend — counting a graph that exceeds
+        a single device's memory, one full runtime launch per induced
+        subgraph on a fresh device memory — pass
+        ``lambda g: gpu_count_triangles(g, device=…, options=…).triangles``
+        (:func:`repro.core.forward_gpu.gpu_count_triangles`; a
+        ``kernel="auto"`` option resolves per induced subgraph).
     """
     if num_parts < 1:
         raise ReproError(f"num_parts must be >= 1, got {num_parts}")

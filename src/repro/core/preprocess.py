@@ -21,6 +21,16 @@ Memory pressure (Section III-D6): the radix sort's double buffer makes
 step 3 the peak allocation (≈ 18 bytes/arc).  When it does not fit, the
 ``†`` path computes degrees and removes backward arcs *on the host*
 first, halving what the device must hold (≈ 9 bytes/arc).
+
+The ``†`` path can also run *pipelined* (``chunks``): the host pass and
+the forward-arc H2D are split into chunk slices, chunk ``n``'s upload
+riding :data:`COPY_STREAM` while the host filters chunk ``n+1``, joined
+by ``wait_for`` edges before the device-side sort.  Buffers, values and
+phase totals are those of the serial protocol; only the stream schedule
+(``Timeline.makespan_ms``) differs.  With host pass ``H``, copy ``C``
+and ``N`` chunks the executed makespan of a host-bound run (``H >= C``)
+is ``total - C·(1-1/N)``, which approaches the modeled
+``Timeline.pipelined_ms = total - C`` from above as ``N`` grows.
 """
 
 from __future__ import annotations
@@ -33,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import OutOfDeviceMemoryError
+from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.graphs.csr import build_node_ptr
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim import thrustlike
 from repro.gpusim.device import CpuSpec, DeviceSpec, XEON_X5650
 from repro.gpusim.memory import DeviceBuffer, DeviceMemory
-from repro.gpusim.timing import Timeline
+from repro.gpusim.timing import DEFAULT_STREAM, Timeline
 from repro.types import INDEX_DTYPE, VERTEX_DTYPE, pack_edges, unpack_edges
 from repro.core.options import GpuOptions
 
@@ -48,6 +58,10 @@ from repro.core.options import GpuOptions
 #: Kronecker 21 on the 3 GB C2050, neither on the 4 GB GTX 980) fall out
 #: of the capacity arithmetic.
 SORT_TEMP_FACTOR = 1.25
+
+#: Stream of the chunked forward-arc H2D in the pipelined ``†`` path
+#: (stream 0 is host program order).
+COPY_STREAM = 1
 
 
 @dataclass
@@ -90,13 +104,33 @@ def forward_mask(first: np.ndarray, second: np.ndarray,
     return (du < dv) | ((du == dv) & (first < second))
 
 
+def forward_lists(graph: EdgeArray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The host-side forward structures the CPU baselines walk.
+
+    Returns ``(adj, keys, node)``: the forward arcs in the device
+    pipeline's (second, first) order — ``adj`` the adjacency content,
+    which is also each arc's first endpoint, ``keys`` the grouping
+    column — and the int64 node array over ``keys``.  Same orientation
+    and layout as the GPU preprocessing, so CPU and GPU walk the same
+    lists."""
+    keep = forward_mask(graph.first, graph.second, graph.degrees())
+    adj, keys = unpack_edges(
+        np.sort(pack_edges(graph.first[keep], graph.second[keep])))
+    return adj, keys, build_node_ptr(keys, graph.num_nodes).astype(np.int64)
+
+
 def preprocess(graph: EdgeArray,
                device: DeviceSpec,
                memory: DeviceMemory,
                timeline: Timeline,
                options: GpuOptions = GpuOptions(),
-               cpu: CpuSpec = XEON_X5650) -> PreprocessResult:
+               cpu: CpuSpec = XEON_X5650,
+               chunks: int | None = None) -> PreprocessResult:
     """Run the preprocessing phase, falling back per ``options.cpu_preprocess``.
+
+    ``chunks`` runs the ``†`` path as that many double-buffered slices
+    (see the module docstring); it needs ``cpu_preprocess="always"``.
 
     Raises
     ------
@@ -106,7 +140,10 @@ def preprocess(graph: EdgeArray,
     """
     if options.cpu_preprocess == "always":
         return _preprocess_cpu_fallback(graph, device, memory, timeline,
-                                        options, cpu)
+                                        options, cpu, chunks)
+    if chunks is not None:
+        raise ReproError("chunked preprocessing schedules the † host pass; "
+                         "it needs options.cpu_preprocess='always'")
     snap = memory.snapshot()
     try:
         return _preprocess_on_device(graph, device, memory, timeline, options)
@@ -120,8 +157,7 @@ def preprocess(graph: EdgeArray,
 
 def device_sort(device: DeviceSpec, memory: DeviceMemory, timeline: Timeline,
                 options: GpuOptions, packed: DeviceBuffer) -> None:
-    """Step 3, shared by every path (including the executed pipeline in
-    :mod:`repro.runtime.pipeline`): allocate the radix sort's scratch
+    """Step 3, shared by every path: allocate the radix sort's scratch
     double buffer, sort the packed words per ``options.sort_as_u64``,
     free the scratch.  In place on ``packed``; the scratch allocation is
     part of the device-address contract (it moves every later buffer's
@@ -203,26 +239,28 @@ def _preprocess_on_device(graph: EdgeArray, device: DeviceSpec,
 
 def _preprocess_cpu_fallback(graph: EdgeArray, device: DeviceSpec,
                              memory: DeviceMemory, timeline: Timeline,
-                             options: GpuOptions,
-                             cpu: CpuSpec) -> PreprocessResult:
+                             options: GpuOptions, cpu: CpuSpec,
+                             chunks: int | None = None) -> PreprocessResult:
     m = graph.num_arcs
     num_nodes = graph.num_nodes
 
     # Host side: degrees (one counting pass) + forward filter (one pass).
     degrees = graph.degrees()
     keep = forward_mask(graph.first, graph.second, degrees)
-    host_elems = 2 * m  # two passes over the arc list
-    timeline.add("cpu degrees + remove backward",
-                 host_elems * cpu.ns_per_pass_element * 1e-6)
+    if chunks is None:
+        timeline.add("cpu degrees + remove backward",
+                     2 * m * cpu.ns_per_pass_element * 1e-6)
 
     first_fwd = graph.first[keep]
     second_fwd = graph.second[keep]
-    m_fwd = len(first_fwd)
 
     # Device side: copy the halved array, then sort / unzip / node array.
     packed = memory.alloc("edges_packed_fwd", pack_edges(first_fwd, second_fwd))
-    timeline.add("h2d edge array (forward only)",
-                 memory.h2d_ms(packed.nbytes), phase="copy")
+    if chunks is None:
+        timeline.add("h2d edge array (forward only)",
+                     memory.h2d_ms(packed.nbytes), phase="copy")
+    else:
+        _double_buffered_upload(memory, timeline, cpu, keep, chunks)
 
     device_sort(device, memory, timeline, options, packed)
 
@@ -232,6 +270,36 @@ def _preprocess_cpu_fallback(graph: EdgeArray, device: DeviceSpec,
                               used_cpu_fallback=True)
     memory.free(packed)
     return result
+
+
+def _double_buffered_upload(memory: DeviceMemory, timeline: Timeline,
+                            cpu: CpuSpec, keep: np.ndarray,
+                            chunks: int) -> None:
+    """The ``†`` host pass and forward-arc H2D as ``chunks`` slices of
+    the arc range.  Chunk n's upload is issued right after chunk n's
+    host pass: the wait_for edge pins it to the host clock, while the
+    copy stream's own cursor serializes uploads — upload n rides the
+    PCIe link while the host filters chunk n+1.  Each event carries the
+    serial event's name as a prefix and the serial phase, so the phase
+    totals are the serial protocol's."""
+    m = len(keep)
+    chunks = min(chunks, m) if m else 1
+    bounds = np.linspace(0, m, chunks + 1).astype(np.int64)
+    itemsize = np.dtype(np.uint64).itemsize   # packed {u, v} words
+    for n in range(chunks):
+        lo, hi = int(bounds[n]), int(bounds[n + 1])
+        timeline.add(f"cpu degrees + remove backward "
+                     f"[chunk {n + 1}/{chunks}]",
+                     2 * (hi - lo) * cpu.ns_per_pass_element * 1e-6)
+        kept = int(np.count_nonzero(keep[lo:hi]))
+        timeline.wait_for(COPY_STREAM, DEFAULT_STREAM)
+        timeline.add_on(f"h2d edge array (forward only) "
+                        f"[chunk {n + 1}/{chunks}]",
+                        memory.h2d_ms(kept * itemsize), phase="copy",
+                        stream=COPY_STREAM)
+    # Join: the device-side sort reads the full forward array, so it
+    # cannot start before the last chunk has landed.
+    timeline.wait_for(DEFAULT_STREAM, COPY_STREAM)
 
 
 # ---------------------------------------------------------------------- #

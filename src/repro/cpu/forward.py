@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.preprocess import forward_mask
-from repro.graphs.csr import build_node_ptr
+from repro.core.preprocess import forward_lists
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import CpuSpec, XEON_X5650
-from repro.types import pack_edges, unpack_edges
 
 
 @dataclass(frozen=True)
@@ -106,16 +104,9 @@ def forward_count_cpu(graph: EdgeArray,
     m = graph.num_arcs
 
     # --- preprocessing (modelled work: degrees, filter, sort, node) --- #
-    degrees = graph.degrees()
-    keep = forward_mask(graph.first, graph.second, degrees)
-    first_fwd = graph.first[keep]
-    second_fwd = graph.second[keep]
-    m_fwd = len(first_fwd)
-
     # Arc order (second, first) — the same layout the GPU pipeline uses.
-    packed = np.sort(pack_edges(first_fwd, second_fwd))
-    adj, keys = unpack_edges(packed)
-    node = build_node_ptr(keys, graph.num_nodes)
+    adj, keys, node = forward_lists(graph)
+    m_fwd = len(adj)
 
     log_m = np.log2(max(m_fwd, 2))
     preprocess_ns = (

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.preprocess import forward_mask
-from repro.graphs.csr import build_node_ptr
+from repro.core.preprocess import forward_lists
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import CpuSpec, XEON_X5650
-from repro.types import pack_edges, unpack_edges
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,7 @@ def forward_hashed_count(graph: EdgeArray,
         return ForwardHashedResult(0, 0, 0.0)
     n = graph.num_nodes
 
-    degrees = graph.degrees()
-    keep = forward_mask(graph.first, graph.second, degrees)
-    packed = np.sort(pack_edges(graph.first[keep], graph.second[keep]))
-    adj, keys = unpack_edges(packed)          # lists L(x) grouped by keys
-    node = build_node_ptr(keys, n).astype(np.int64)
+    adj, keys, node = forward_lists(graph)    # lists L(x) grouped by keys
     list_len = np.diff(node)
 
     # Membership oracle: the sorted (owner, member) key set itself.

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.preprocess import forward_mask
+from repro.core.preprocess import forward_lists
 from repro.errors import ReproError
-from repro.graphs.csr import build_node_ptr
 from repro.graphs.edgearray import EdgeArray
-from repro.types import pack_edges, unpack_edges
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,7 @@ def list_triangles(graph: EdgeArray,
         return TriangleListing(np.empty((0, 3), np.int64))
     n = graph.num_nodes
 
-    degrees = graph.degrees()
-    keep = forward_mask(graph.first, graph.second, degrees)
-    packed = np.sort(pack_edges(graph.first[keep], graph.second[keep]))
-    adj, keys = unpack_edges(packed)
-    node = build_node_ptr(keys, n).astype(np.int64)
+    adj, keys, node = forward_lists(graph)
     list_len = np.diff(node)
 
     arc_u = adj.astype(np.int64)

@@ -66,23 +66,18 @@ class MultiGpuContext:
         conservative path the paper's simple scheme implies; both hops
         ride the PCIe link, serialized per destination.
 
-        When ``timeline`` keeps a stream schedule (duck-typed on
-        ``add_on`` — :class:`repro.runtime.StreamTimeline`), device
-        ``i``'s copy is stamped on stream ``i``: each destination has
-        its own PCIe lane in the model, so the copies may overlap there
-        while the reported serial totals stay unchanged.
+        Device ``i``'s copy is stamped on stream ``i`` of ``timeline``:
+        each destination has its own PCIe lane in the model, so the
+        copies may overlap there while the reported serial totals stay
+        unchanged.
         """
         out = [buf]
         per_copy_ms = 2.0 * buf.nbytes / (self.device.pcie_gbs * 1e9) * 1e3
-        add_on = getattr(timeline, "add_on", None)
         for i, mem in enumerate(self.memories[1:], start=1):
             out.append(mem.alloc(f"{buf.name}@dev{i}", buf.data))
-            if add_on is not None:
-                add_on(f"broadcast {buf.name} -> dev{i}", per_copy_ms,
-                       phase="copy", stream=i)
-            elif timeline is not None:
-                timeline.add(f"broadcast {buf.name} -> dev{i}", per_copy_ms,
-                             phase="copy")
+            if timeline is not None:
+                timeline.add_on(f"broadcast {buf.name} -> dev{i}",
+                                per_copy_ms, phase="copy", stream=i)
         return out
 
     def ring_broadcast(self, buf: DeviceBuffer,
@@ -93,7 +88,7 @@ class MultiGpuContext:
 
         The buffer is split into ``chunks`` near-equal slices; the link
         into device ``d`` lives on stream ``d``, and chunk ``c`` on link
-        ``d`` waits (a :meth:`~repro.runtime.StreamTimeline.wait_for`
+        ``d`` waits (a :meth:`~repro.gpusim.timing.Timeline.wait_for`
         edge) for chunk ``c`` to arrive at device ``d-1`` — each card
         forwards as soon as it holds the data.  Each hop is a direct
         peer copy: one PCIe traversal, against the host-mediated
@@ -102,9 +97,7 @@ class MultiGpuContext:
         protocol's ``2 * (k-1) * nbytes`` — callers wanting the paper's
         reported numbers keep :meth:`broadcast`.
 
-        Falls back to per-destination serial events on a timeline with
-        no stream schedule.  Returns the per-device buffer list (index
-        0 is the original).
+        Returns the per-device buffer list (index 0 is the original).
         """
         if chunks < 1:
             raise DeviceError(f"ring exchange needs >= 1 chunk, got {chunks}")
@@ -115,8 +108,6 @@ class MultiGpuContext:
             out.append(mem.alloc(f"{buf.name}@dev{i}", buf.data))
         if timeline is None or self.count == 1:
             return out
-        add_on = getattr(timeline, "add_on", None)
-        wait_for = getattr(timeline, "wait_for", None)
         bounds = np.linspace(0, buf.nbytes, chunks + 1).astype(np.int64)
         for c in range(chunks):
             chunk_bytes = int(bounds[c + 1] - bounds[c])
@@ -126,14 +117,11 @@ class MultiGpuContext:
             for d in range(1, self.count):
                 name = (f"ring {buf.name} chunk {c + 1}/{chunks} "
                         f"dev{d - 1}->dev{d}")
-                if add_on is None or wait_for is None:
-                    timeline.add(name, hop_ms, phase="copy")
-                    continue
                 if d > 1:
                     # Chunk c cannot leave card d-1 before it arrived
                     # there — the event just issued on link d-1.
-                    wait_for(d, d - 1)
-                add_on(name, hop_ms, phase="copy", stream=d)
+                    timeline.wait_for(d, d - 1)
+                timeline.add_on(name, hop_ms, phase="copy", stream=d)
         return out
 
     def partition_ranges(self, num_items: int) -> list[tuple[int, int]]:

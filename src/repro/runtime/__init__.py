@@ -3,9 +3,11 @@
 One launch protocol for every counting kernel: kernels are registered
 as :class:`KernelSpec`\\ s (name, host body, buffer facts) and
 every pipeline goes through :func:`launch`, which owns device
-allocation, H2D/D2H transfer events on a :class:`StreamTimeline`,
-engine construction from :class:`~repro.core.options.GpuOptions`,
-sanitizer attachment, and report/timeline assembly.
+allocation, H2D/D2H transfer events on the stream schedule of a
+:class:`~repro.gpusim.timing.Timeline` (serial, or with the ``†`` pass
+double-buffered via ``LaunchPlan.pipeline_chunks``), engine
+construction from :class:`~repro.core.options.GpuOptions`, sanitizer
+attachment, and report/timeline assembly.
 
 Layering (see docs/architecture.md)::
 
@@ -14,17 +16,13 @@ Layering (see docs/architecture.md)::
                     core pipelines / serve / bench
 """
 
-from repro.runtime.launch import (KernelLaunch, LaunchPlan, build_engine,
-                                  dispatch_kernel, launch)
-from repro.runtime.pipeline import (PipelinedPlan, pipelined_cpu_preprocess,
-                                    pipelined_launch)
+from repro.runtime.launch import (D2H_STREAM, KernelLaunch, LaunchPlan,
+                                  build_engine, dispatch_kernel, launch)
 from repro.runtime.spec import (BINARY_SEARCH, HASH, LOCAL, MERGE,
                                 WARP_INTERSECT, KernelSpec, get_kernel,
                                 kernel_names, kernel_option_field,
                                 kernel_option_fields, register,
                                 resolve_kernel, spec_for_options)
-from repro.runtime.stream import (DEFAULT_STREAM, StreamDep, StreamEvent,
-                                  StreamTimeline)
 
 __all__ = [
     "KernelSpec", "register", "get_kernel", "kernel_names",
@@ -32,7 +30,5 @@ __all__ = [
     "kernel_option_fields",
     "MERGE", "WARP_INTERSECT", "BINARY_SEARCH", "HASH", "LOCAL",
     "LaunchPlan", "KernelLaunch", "launch", "dispatch_kernel",
-    "build_engine",
-    "PipelinedPlan", "pipelined_launch", "pipelined_cpu_preprocess",
-    "StreamTimeline", "StreamEvent", "StreamDep", "DEFAULT_STREAM",
+    "build_engine", "D2H_STREAM",
 ]

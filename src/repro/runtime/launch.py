@@ -17,18 +17,26 @@ historical pipelines (device addresses feed the cache model, so even
    Section III-D6 fallback logic sees the full footprint), then the
    per-vertex accumulator for ``per_vertex`` specs;
 5. run preprocessing (H2D copy events land on the stream timeline)
-   unless the plan supplies device-resident structures;
+   unless the plan supplies device-resident structures — optionally as
+   the chunked, double-buffered ``†`` schedule (``pipeline_chunks``);
 6. dispatch the kernel body, time it with the roofline model, and
    record the kernel event;
 7. device-reduce the result buffer, cross-check against the kernel's
    own count, and record the D2H readback event(s);
 8. free device memory and detach the sanitizer (always, via finally).
+
+A plan with ``preprocessed`` structures is a *slice launch* (the
+multi-GPU driver runs one per card against broadcast copies).  Its
+driver owns what spans the slices — the sanitizer, the
+max-over-devices kernel event, the overlapped reduce and readback
+events, and teardown — so steps 2, 6's event, 7's events and 8's free
+are skipped for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -40,13 +48,19 @@ from repro.gpusim import thrustlike
 from repro.gpusim.device import DeviceSpec, GTX_980
 from repro.gpusim.memory import DeviceBuffer, DeviceMemory
 from repro.gpusim.simt import KernelReport, SimtEngine
-from repro.gpusim.timing import KernelTiming, Timeline, time_kernel
+from repro.gpusim.timing import (DEFAULT_STREAM, KernelTiming, Timeline,
+                                 time_kernel)
 from repro.runtime.spec import KernelResult, KernelSpec, resolve_kernel
-from repro.runtime.stream import DEFAULT_STREAM, StreamTimeline
 from repro.types import COUNT_DTYPE
 
 if TYPE_CHECKING:
     from repro.sanitize import Sanitizer
+
+#: Stream of the result readback in a pipelined launch (stream 0 is host
+#: order / compute, :data:`repro.core.preprocess.COPY_STREAM` the H2D
+#: double buffer).
+D2H_STREAM = 2
+
 
 def build_engine(device: DeviceSpec, options: GpuOptions,
                  sanitizer: "Sanitizer | None" = None) -> SimtEngine:
@@ -85,9 +99,8 @@ def dispatch_kernel(kernel: KernelSpec | str, engine: SimtEngine,
 class LaunchPlan:
     """Declarative request for one kernel launch.
 
-    The defaults describe the full single-GPU pipeline; the multi-GPU
-    driver turns off the pieces its own aggregation owns (sanitizer,
-    per-slice timeline events, teardown).
+    The defaults describe the full single-GPU pipeline.  Passing
+    ``preprocessed`` makes it a slice launch (see the module docstring).
     """
 
     kernel: KernelSpec | str
@@ -96,37 +109,21 @@ class LaunchPlan:
     options: GpuOptions = field(default_factory=GpuOptions)
     #: Pre-built device memory (bench passes a capacity-scaled one).
     memory: DeviceMemory | None = None
-    #: Timeline to append to; a fresh :class:`StreamTimeline` if None.
+    #: Timeline to append to; a fresh :class:`Timeline` if None.
     timeline: Timeline | None = None
     #: Device-resident structures; skips preprocessing when given
     #: (multi-GPU slices run against broadcast copies).
     preprocessed: PreprocessResult | None = None
     lo: int = 0
     hi: int | None = None
-    #: Length of the per-vertex accumulator (default: the graph's /
-    #: preprocessed result's node count).
-    num_vertices: int | None = None
     result_name: str = "result"
-    attach_sanitizer: bool = True
-    record_kernel_event: bool = True
-    #: Record the device reduce on the timeline (the multi-GPU driver
-    #: aggregates its own overlapped reduce event instead).
-    reduce_timeline: bool = True
-    d2h_events: bool = True
-    free_all: bool = True
-    #: Alternative preprocessing entry point with the same signature as
-    #: :func:`repro.core.preprocess.preprocess` (graph, device, memory,
-    #: timeline, options).  The executed pipeline
-    #: (:mod:`repro.runtime.pipeline`) swaps in its chunked ``†``
-    #: scheduler here; allocation order — result buffer first, then the
-    #: preprocessing buffers — is preserved either way, which is what
-    #: keeps device addresses (and cache counters) bit-identical.
-    preprocess_fn: Callable[..., PreprocessResult] | None = None
-    #: Stamp the result readback on this stream (after a ``wait_for``
-    #: join edge on the default stream) instead of inline on stream 0.
-    #: Needs a :class:`StreamTimeline`; ``None`` keeps the serial
-    #: protocol's placement.
-    d2h_stream: int | None = None
+    #: Execute the ``†`` preprocessing pass as this many double-buffered
+    #: chunks (host pass overlapping the forward-arc H2D on a copy
+    #: stream) and read the result back on :data:`D2H_STREAM`.  Forces
+    #: ``cpu_preprocess="always"``; ``None`` is the serial protocol.
+    #: Counts, counters and serial totals are identical either way —
+    #: only the stream schedule (``timeline.makespan_ms``) changes.
+    pipeline_chunks: int | None = None
 
 
 @dataclass
@@ -165,15 +162,30 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         raise ReproError(
             f"memory belongs to {memory.spec.name!r}, not {device.name!r}")
     pre = plan.preprocessed
-    if pre is None and plan.graph is None:
+    whole = pre is None            # False: a multi-GPU slice launch
+    if whole and plan.graph is None:
         raise ReproError("LaunchPlan needs a graph or a preprocessed result")
-    if spec.requires_soa and pre is None and not options.unzip:
+    chunks = plan.pipeline_chunks
+    if chunks is not None:
+        if not whole:
+            raise ReproError("pipeline_chunks schedules the † preprocessing "
+                             "pass; a plan with preprocessed structures "
+                             "has none")
+        if chunks < 1:
+            raise ReproError(f"pipeline_chunks must be >= 1, got {chunks}")
+        if options.cpu_preprocess == "never":
+            raise ReproError(
+                "pipelined execution schedules the † host preprocessing "
+                "pass; options.cpu_preprocess must be 'auto' or 'always', "
+                "not 'never'")
+        options = options.but(cpu_preprocess="always")
+    if spec.requires_soa and whole and not options.unzip:
         raise ReproError(f"kernel {spec.name!r} requires the SoA layout "
                          "(GpuOptions.unzip=True)")
-    timeline = plan.timeline if plan.timeline is not None else StreamTimeline()
+    timeline = plan.timeline if plan.timeline is not None else Timeline()
 
     sanitizer: "Sanitizer | None" = None
-    if plan.attach_sanitizer and options.sanitize != "off":
+    if whole and options.sanitize != "off":
         from repro.sanitize import Sanitizer
 
         sanitizer = Sanitizer(mode=options.sanitize)
@@ -191,9 +203,7 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         per_vertex_buf = None
         num_vertices = 0
         if spec.per_vertex:
-            if plan.num_vertices is not None:
-                num_vertices = plan.num_vertices
-            elif plan.graph is not None:
+            if plan.graph is not None:
                 num_vertices = plan.graph.num_nodes
             else:
                 num_vertices = pre.num_nodes if pre is not None else 0
@@ -201,9 +211,8 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
                 "per_vertex", np.zeros(max(num_vertices, 1), np.int64))
         if pre is None:
             assert plan.graph is not None
-            pre_fn = plan.preprocess_fn if plan.preprocess_fn is not None \
-                else preprocess
-            pre = pre_fn(plan.graph, device, memory, timeline, options)
+            pre = preprocess(plan.graph, device, memory, timeline, options,
+                             chunks=chunks)
 
         kres = dispatch_kernel(spec, engine, pre, options,
                                lo=plan.lo, hi=plan.hi,
@@ -211,44 +220,38 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
                                per_vertex_buf=per_vertex_buf,
                                memory=memory)
         timing = time_kernel(engine.report)
-        if plan.record_kernel_event:
+        if whole:
             timeline.add(spec.display_name, timing.kernel_ms, phase="count")
 
-        total = thrustlike.reduce_sum(
-            device, result_buf,
-            timeline if plan.reduce_timeline else None, phase="reduce")
+        total = thrustlike.reduce_sum(device, result_buf,
+                                      timeline if whole else None,
+                                      phase="reduce")
         if total != kres.triangles:
             raise ReproError("device reduce disagrees with kernel counts "
                              f"({total} vs {kres.triangles})")
-        d2h_stream = plan.d2h_stream
-        if d2h_stream is not None and not isinstance(timeline,
-                                                     StreamTimeline):
-            raise ReproError("LaunchPlan.d2h_stream needs a StreamTimeline "
-                             f"(got {type(timeline).__name__})")
 
         def record_d2h(name: str, ms: float) -> None:
             # Same event name/phase either way — serial totals stay the
             # paper's protocol; only the stream placement differs.
-            if d2h_stream is None:
+            if chunks is None:
                 timeline.add(name, ms, phase="reduce")
                 return
-            assert isinstance(timeline, StreamTimeline)
             # The readback depends on the reduce that just landed on
             # the default stream; the join edge records it.
-            timeline.wait_for(d2h_stream, DEFAULT_STREAM)
-            timeline.add_on(name, ms, phase="reduce", stream=d2h_stream)
+            timeline.wait_for(D2H_STREAM, DEFAULT_STREAM)
+            timeline.add_on(name, ms, phase="reduce", stream=D2H_STREAM)
 
         per_vertex_host = None
         if per_vertex_buf is not None:
             # d2h readback of the accumulator (host phase, not kernel code).
             per_vertex_host = per_vertex_buf.data[:num_vertices].copy()  # san-ok: SAN101
-            if plan.d2h_events:
+        if whole:
+            if per_vertex_host is not None:
                 record_d2h("d2h per-vertex counts",
                            memory.d2h_ms(per_vertex_host.nbytes))
-        elif plan.d2h_events:
-            record_d2h("d2h result",
-                       memory.d2h_ms(np.dtype(COUNT_DTYPE).itemsize))
-        if plan.free_all:
+            else:
+                record_d2h("d2h result",
+                           memory.d2h_ms(np.dtype(COUNT_DTYPE).itemsize))
             memory.free_all()
     finally:
         if sanitizer is not None:

@@ -14,8 +14,8 @@ from repro.serve.cache import (CacheEntry, CacheStats, PreprocessCache,
                                graph_fingerprint, preprocessed_nbytes)
 from repro.serve.fleet import DEFAULT_CACHE_FRACTION, Fleet, FleetDevice
 from repro.serve.metrics import ServeReport
-from repro.serve.plane import (ApproxAnswer, Batcher, ControlPlane,
-                               DegradedTier, PlaneConfig, ReplicaManager)
+from repro.serve.plane import (ApproxAnswer, ControlPlane, DegradedTier,
+                               PlaneConfig, ReplicaManager)
 from repro.serve.queue import (DONE, LOST, PATH_APPROX, PATH_DISTRIBUTED,
                                PATH_GPU, PENDING, SHED, SHED_DEADLINE,
                                SHED_FLEET_DEAD, SHED_NO_CAPACITY,
@@ -32,7 +32,7 @@ __all__ = [
     "preprocessed_nbytes",
     "DEFAULT_CACHE_FRACTION", "Fleet", "FleetDevice",
     "ServeReport",
-    "ApproxAnswer", "Batcher", "ControlPlane", "DegradedTier",
+    "ApproxAnswer", "ControlPlane", "DegradedTier",
     "PlaneConfig", "ReplicaManager",
     "PENDING", "DONE", "LOST", "SHED",
     "PATH_GPU", "PATH_DISTRIBUTED", "PATH_APPROX",

@@ -45,11 +45,8 @@ class ServeReport:
     sanitizer_findings: int = 0
     #: a :class:`~repro.serve.plane.ControlPlane` drove this replay.
     plane_enabled: bool = False
-    #: device launches that served jobs (batched launches count once).
+    #: device launches that served jobs.
     launches: int = 0
-    #: launches that served >= 2 coalesced jobs, and the jobs they served.
-    batched_launches: int = 0
-    batched_jobs: int = 0
     #: pinned replica copies the plane installed.
     replications: int = 0
 
@@ -91,12 +88,6 @@ class ServeReport:
                 for j in self.degraded
                 if j.fingerprint in truth and j.estimate is not None]
         return float(np.mean(errs)) if errs else None
-
-    @property
-    def jobs_per_launch(self) -> float:
-        served = len([j for j in self.done if j.path not in
-                      (PATH_DISTRIBUTED,) and j.tier != TIER_APPROX])
-        return served / self.launches if self.launches else 0.0
 
     # ------------------------------------------------------------------ #
     # latency / throughput
@@ -227,10 +218,6 @@ class ServeReport:
         metric("lost jobs", f"{len(self.lost)}")
         metric("sanitizer findings", f"{self.sanitizer_findings}")
         if self.plane_enabled:
-            metric("shared launches (jobs / launch)",
-                   f"{self.batched_launches} batched, "
-                   f"{self.batched_jobs} jobs coalesced, "
-                   f"{self.jobs_per_launch:.2f} jobs/launch")
             metric("replica copies pinned", f"{self.replications}")
             err = self.approx_mean_rel_error
             metric("shed / degraded-tier answers",

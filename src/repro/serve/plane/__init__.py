@@ -3,11 +3,10 @@
 Sits between the :class:`~repro.serve.queue.JobQueue` and the
 :class:`~repro.serve.scheduler.FleetScheduler`:
 
-``queue → plane (admission / batcher / replicas) → scheduler → runtime``
+``queue → plane (admission / replicas) → scheduler → runtime``
 
-Four cooperating components: replica groups pin hot preprocessed graphs
-on k devices, continuous batching coalesces same-graph jobs into shared
-launches, SLO-aware admission sheds jobs the wait model proves doomed
+Three cooperating components: replica groups pin hot preprocessed graphs
+on k devices, SLO-aware admission sheds jobs the wait model proves doomed
 (with a typed :class:`~repro.serve.queue.ShedResponse`), and the
 degraded tier answers shed jobs approximately — ``(estimate,
 error_bound, tier="approx")`` — via the existing DOULION / birthday
@@ -18,7 +17,6 @@ estimators.  Install with ``serve_trace(..., plane=ControlPlane())``;
 from repro.serve.plane.admission import (COLD_MODEL_PASSES,
                                          AdmissionController,
                                          ServiceEstimator)
-from repro.serve.plane.batcher import Batcher
 from repro.serve.plane.control import ControlPlane, PlaneConfig
 from repro.serve.plane.degraded import (APPROX_METHODS, ApproxAnswer,
                                         DegradedTier)
@@ -26,7 +24,6 @@ from repro.serve.plane.replicas import ReplicaManager, ResidentEntry
 
 __all__ = [
     "AdmissionController", "ServiceEstimator", "COLD_MODEL_PASSES",
-    "Batcher",
     "ControlPlane", "PlaneConfig",
     "APPROX_METHODS", "ApproxAnswer", "DegradedTier",
     "ReplicaManager", "ResidentEntry",

@@ -8,8 +8,6 @@ reproduces the seed scheduler exactly):
 * **admission** — at every event time, forecast the ready queue with the
   wait model and shed jobs that cannot meet their effective deadline
   (:mod:`~repro.serve.plane.admission`);
-* **batching** — when a job dispatches, pull same-cache-key ready jobs
-  into the same launch (:mod:`~repro.serve.plane.batcher`);
 * **replica groups** — after completions, pin hot graphs on k devices
   and steer placement toward replica holders
   (:mod:`~repro.serve.plane.replicas`);
@@ -25,7 +23,6 @@ from dataclasses import dataclass, replace
 from repro.errors import ReproError
 from repro.serve.fleet import Fleet, FleetDevice
 from repro.serve.plane.admission import AdmissionController, ServiceEstimator
-from repro.serve.plane.batcher import Batcher
 from repro.serve.plane.degraded import APPROX_METHODS, DegradedTier
 from repro.serve.plane.replicas import ReplicaManager, ResidentEntry
 from repro.serve.queue import (DONE, PATH_APPROX, SHED, TIER_APPROX,
@@ -46,9 +43,6 @@ class PlaneConfig:
     #: bytes — the store-and-forward exchange of
     #: :mod:`repro.gpusim.multigpu`, applied to the fleet timing model).
     exchange: str = "broadcast"
-    #: coalesce same-key ready jobs into shared launches.
-    batching: bool = True
-    max_batch: int = 8
     #: SLO-aware admission (shed/downgrade predicted deadline misses).
     admission: bool = True
     #: implicit deadline slack for deadline-less jobs; None exempts them.
@@ -62,8 +56,6 @@ class PlaneConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ReproError(f"replicas must be >= 1, got {self.replicas}")
-        if self.max_batch < 1:
-            raise ReproError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.approx_method not in APPROX_METHODS:
             raise ReproError(
                 f"approx_method must be one of {APPROX_METHODS}, "
@@ -83,7 +75,6 @@ class ControlPlane:
         self.admission = (AdmissionController(self.estimator,
                                               config.default_slo_ms)
                           if config.admission else None)
-        self.batcher = Batcher(config.max_batch) if config.batching else None
         self.replicas = ReplicaManager(config.replicas, config.hot_threshold,
                                        exchange=config.exchange)
         self.degraded = (DegradedTier(method=config.approx_method,
@@ -143,19 +134,12 @@ class ControlPlane:
                     t_ms: float) -> FleetDevice:
         return self.replicas.pick_device(job.cache_key(), eligible, t_ms)
 
-    def collect_batch(self, job: ServeJob, queue: JobQueue,
-                      t_ms: float) -> list[ServeJob]:
-        if self.batcher is None:
-            return []
-        return self.batcher.collect(job, queue, t_ms)
-
     # ------------------------------------------------------------------ #
     # completion hooks
     # ------------------------------------------------------------------ #
 
-    def on_gpu_complete(self, batch: list[ServeJob], key: tuple,
-                        fleet: Fleet, service_ms: float, hit: bool,
-                        resident: ResidentEntry | None,
+    def on_gpu_complete(self, key: tuple, fleet: Fleet, service_ms: float,
+                        hit: bool, resident: ResidentEntry | None,
                         end_ms: float) -> None:
         """Observe service, heat the key, and replicate when hot.
 
@@ -166,7 +150,7 @@ class ControlPlane:
             self.estimator.observe_hit(key, service_ms)
         else:
             self.estimator.observe_full(key, service_ms)
-        self.replicas.note_requests(key, len(batch))
+        self.replicas.note_requests(key)
         if resident is not None:
             self.replicas.maybe_replicate(key, resident, fleet, end_ms)
 

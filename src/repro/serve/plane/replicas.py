@@ -58,8 +58,8 @@ class ReplicaManager:
 
     # ------------------------------------------------------------------ #
 
-    def note_requests(self, key: tuple, n: int = 1) -> None:
-        self._requests[key] = self._requests.get(key, 0) + n
+    def note_requests(self, key: tuple) -> None:
+        self._requests[key] = self._requests.get(key, 0) + 1
 
     def heat(self, key: tuple) -> int:
         return self._requests.get(key, 0)

@@ -207,9 +207,7 @@ class ServeJob:
 
     def cache_key(self) -> tuple:
         """The preprocessed-cache identity this job hits — two jobs with
-        equal keys are answered by the same device-resident structures
-        (and may therefore share one launch, see the control plane's
-        batcher)."""
+        equal keys are answered by the same device-resident structures."""
         return (self.fingerprint, self.options.cache_key())
 
 
@@ -289,20 +287,16 @@ class JobQueue:
         self._promote(t_ms)
         return [job for _, _, job in sorted(self._ready)]
 
-    def take_where(self, t_ms: float, pred, limit: int | None = None
-                   ) -> list[ServeJob]:
-        """Remove and return up to ``limit`` ready jobs matching ``pred``
-        (pop order).  Held (backoff) jobs are never taken.
+    def take_where(self, t_ms: float, pred) -> list[ServeJob]:
+        """Remove and return the ready jobs matching ``pred`` (pop
+        order).  Held (backoff) jobs are never taken.
 
-        The batcher uses this to coalesce same-cache-key jobs into one
-        shared launch; the admission controller uses it to pull doomed
-        jobs out of the queue."""
+        The admission controller uses this to pull doomed jobs out of
+        the queue."""
         self._promote(t_ms)
         taken: list[ServeJob] = []
         taken_ids: set[int] = set()
         for _, _, job in sorted(self._ready):
-            if limit is not None and len(taken) >= limit:
-                break
             if pred(job):
                 taken.append(job)
                 taken_ids.add(id(job))

@@ -83,16 +83,16 @@ class FleetScheduler:
         ``backoff_ms · 2^(k-1)`` simulated milliseconds after the fault.
     plane : ControlPlane, optional
         The serving control plane (:mod:`repro.serve.plane`).  When
-        installed it adds SLO-aware admission, continuous batching,
-        replica groups and the approximate degraded tier; ``None``
-        (default) reproduces the seed scheduler exactly.
+        installed it adds SLO-aware admission, replica groups and the
+        approximate degraded tier; ``None`` (default) reproduces the
+        seed scheduler exactly.
     tuned : TunedConfigs, optional
         Per-device autotuned configs (``configs/tuned.json``, see
         :mod:`repro.serve.tuned`).  Each GPU run applies the entry of
         the device it lands on — launch geometry / kernel / engine
         overrides that change simulated timing and host speed, never
-        triangle counts.  Job identity (cache keys, batching) stays on
-        the job's own options.
+        triangle counts.  Job identity (cache keys) stays on the job's
+        own options.
     """
 
     def __init__(self, fleet: Fleet, cache_enabled: bool = True,
@@ -230,21 +230,14 @@ class FleetScheduler:
             memo = self._run_gpu(job, dev)
             service, triangles, hit = memo.total_ms, memo.triangles, False
 
-        # Continuous batching: every ready job with the same cache key
-        # rides this launch and fans its (identical, deterministic)
-        # result back out — one H2D + launch instead of N.
-        batch = [job]
-        if self.plane is not None:
-            batch += self.plane.collect_batch(job, queue, start)
-
         end = start + service
         if dev.fails_within(start, end):
-            self._fault(batch, dev, start, queue, report)
+            self._fault(job, dev, start, queue, report)
             return
 
         dev.busy_until_ms = end
         dev.busy_ms += service
-        dev.jobs_completed += len(batch)
+        dev.jobs_completed += 1
         if memo is not None:
             report.sanitizer_findings += memo.sanitizer_findings
         if self.cache_enabled and memo is not None:
@@ -253,17 +246,13 @@ class FleetScheduler:
                              hit_service_ms=memo.hit_service_ms,
                              now_ms=start)
         report.launches += 1
-        if len(batch) > 1:
-            report.batched_launches += 1
-            report.batched_jobs += len(batch)
-        for b in batch:
-            b.status = DONE
-            b.path = PATH_GPU
-            b.cache_hit = hit
-            b.device_index = dev.index
-            b.start_ms = start
-            b.finish_ms = end
-            b.triangles = triangles
+        job.status = DONE
+        job.path = PATH_GPU
+        job.cache_hit = hit
+        job.device_index = dev.index
+        job.start_ms = start
+        job.finish_ms = end
+        job.triangles = triangles
         if self.plane is not None:
             resident = None
             if self.cache_enabled:
@@ -273,8 +262,8 @@ class FleetScheduler:
                             if memo is not None else
                             ResidentEntry(entry.nbytes, entry.triangles,
                                           entry.hit_service_ms))
-            self.plane.on_gpu_complete(batch, cache_key, self.fleet,
-                                       service, hit, resident, end)
+            self.plane.on_gpu_complete(cache_key, self.fleet, service, hit,
+                                       resident, end)
 
     def _run_gpu(self, job: ServeJob, dev: FleetDevice) -> _GpuRunMemo:
         """Run (or replay) the single-device pipeline for this job.
@@ -398,14 +387,13 @@ class FleetScheduler:
     # faults
     # ------------------------------------------------------------------ #
 
-    def _fault(self, batch: list[ServeJob], dev: FleetDevice, start: float,
+    def _fault(self, job: ServeJob, dev: FleetDevice, start: float,
                queue: JobQueue, report: ServeReport) -> None:
         fault_ms = dev.fail_at_ms
         dev.busy_until_ms = max(dev.busy_until_ms, fault_ms)
         dev.busy_ms += fault_ms - start
         dev.faults += 1
-        for job in batch:
-            self._requeue_or_lose(job, fault_ms, queue, report)
+        self._requeue_or_lose(job, fault_ms, queue, report)
 
     def _shed(self, job: ServeJob, reason: str, t_ms: float) -> None:
         """Terminal no-capacity exit: a typed :class:`ShedResponse`

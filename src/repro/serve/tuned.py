@@ -13,7 +13,7 @@ What a tuned entry may change — and what it may not:
   every kernel in the registry is exact, so triangle counts are
   identical under any tuned entry (the bit-identity contract the bench
   suites pin);
-* job identity — :meth:`ServeJob.cache_key`, batching, the
+* job identity — :meth:`ServeJob.cache_key` and the
   preprocessed-graph cache — stays keyed on the job's *own* options:
   tuning is a per-device execution detail, not a new workload.
 """

@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.multi_gpu import multi_gpu_count_triangles
+from repro.core.options import GpuOptions
 from repro.errors import ContextMismatchError, DeviceError, ReproError
 from repro.gpusim.device import GTX_980, TESLA_C2050
 from repro.gpusim.multigpu import MultiGpuContext
-from repro.runtime import StreamTimeline
 
 
 class TestCorrectness:
@@ -58,6 +58,15 @@ class TestCorrectness:
         with pytest.raises(ReproError, match="broadcast.*ring"):
             multi_gpu_count_triangles(k5, num_gpus=2, exchange="tree")
 
+    @pytest.mark.parametrize("mode", ["report", "strict"])
+    def test_sanitize_rejected(self, k5, mode):
+        """The slice launches run no sanitizer, so a sanitize request
+        is a typed error naming the single-GPU pipeline — never a run
+        that reports the mode with empty findings."""
+        with pytest.raises(ReproError, match="gpu_count_triangles"):
+            multi_gpu_count_triangles(k5, num_gpus=2,
+                                      options=GpuOptions(sanitize=mode))
+
 
 class TestTiming:
     def test_counting_phase_shrinks(self, medium_rmat):
@@ -107,7 +116,6 @@ class TestRingExchange:
             bcast = multi_gpu_count_triangles(small_rmat, num_gpus=k)
             ring = multi_gpu_count_triangles(small_rmat, num_gpus=k,
                                              exchange="ring")
-            assert isinstance(ring.timeline, StreamTimeline)
             assert (ring.timeline.makespan_ms
                     < bcast.timeline.makespan_ms)
 
@@ -115,7 +123,6 @@ class TestRingExchange:
         ring = multi_gpu_count_triangles(small_rmat, num_gpus=3,
                                          exchange="ring")
         tl = ring.timeline
-        assert isinstance(tl, StreamTimeline)
         assert tl.stream_deps          # wait_for edges were recorded
         assert any("ring" in e.name for e in tl.stream_events)
 

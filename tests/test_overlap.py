@@ -14,10 +14,10 @@ from repro.bench.overlap import (OverlapReport, baseline_problems,
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.errors import ReproError
+from repro.core.preprocess import COPY_STREAM
 from repro.gpusim.device import GTX_980
-from repro.gpusim.timing import Timeline
-from repro.runtime import (DEFAULT_STREAM, LaunchPlan, PipelinedPlan,
-                           StreamTimeline, launch, pipelined_launch)
+from repro.gpusim.timing import DEFAULT_STREAM, Timeline
+from repro.runtime import D2H_STREAM, LaunchPlan, launch
 from repro.serve.fleet import Fleet
 from repro.serve.plane.control import PlaneConfig
 from repro.serve.plane.replicas import ReplicaManager, ResidentEntry
@@ -29,27 +29,27 @@ GOLDEN_PATH = Path(__file__).parent / "golden_runtime_counters.json"
 DAGGER = GpuOptions(cpu_preprocess="always")
 
 
+#: The chunk count the executed pipeline is exercised with.
+CHUNKS = 8
+
+
 class TestPipelinedPlan:
-    def test_defaults_valid(self):
-        plan = PipelinedPlan()
-        assert plan.chunks == 8
+    def test_defaults_valid(self, small_rmat):
+        run = launch(LaunchPlan(kernel="merge", graph=small_rmat,
+                                pipeline_chunks=CHUNKS))
+        names = [e.name for e in run.timeline.events]
+        assert sum("[chunk" in n for n in names) == 2 * CHUNKS
 
-    def test_rejects_zero_chunks(self):
+    def test_rejects_zero_chunks(self, small_rmat):
         with pytest.raises(ReproError, match="chunks"):
-            PipelinedPlan(chunks=0)
-
-    def test_rejects_stream_collisions(self):
-        with pytest.raises(ReproError, match="distinct"):
-            PipelinedPlan(copy_stream=1, d2h_stream=1)
-        with pytest.raises(ReproError, match="distinct"):
-            PipelinedPlan(copy_stream=DEFAULT_STREAM)
+            gpu_count_triangles(small_rmat, pipeline_chunks=0)
 
 
 class TestPipelinedExecution:
     def test_counts_and_counters_identical(self, any_graph, oracle):
         serial = gpu_count_triangles(any_graph, options=DAGGER)
         piped = gpu_count_triangles(any_graph, options=DAGGER,
-                                    mode="pipelined")
+                                    pipeline_chunks=CHUNKS)
         assert piped.triangles == serial.triangles == oracle(any_graph)
         assert (piped.kernel_report.counters()
                 == serial.kernel_report.counters())
@@ -59,7 +59,7 @@ class TestPipelinedExecution:
         protocol in both modes — the chunked events sum exactly."""
         serial = gpu_count_triangles(small_rmat, options=DAGGER)
         piped = gpu_count_triangles(small_rmat, options=DAGGER,
-                                    mode="pipelined")
+                                    pipeline_chunks=CHUNKS)
         assert piped.total_ms == pytest.approx(serial.total_ms)
         for phase in ("preprocess", "copy", "count", "reduce"):
             assert piped.timeline.phase_ms(phase) == pytest.approx(
@@ -67,9 +67,8 @@ class TestPipelinedExecution:
 
     def test_makespan_measured_below_total(self, small_rmat):
         piped = gpu_count_triangles(small_rmat, options=DAGGER,
-                                    mode="pipelined")
+                                    pipeline_chunks=CHUNKS)
         tl = piped.timeline
-        assert isinstance(tl, StreamTimeline)
         assert tl.makespan_ms < tl.total_ms
         assert tl.stream_deps           # real wait_for edges were recorded
 
@@ -78,8 +77,7 @@ class TestPipelinedExecution:
         (the drift gate BENCH_overlap.json commits at 10%)."""
         serial = gpu_count_triangles(small_rmat, options=DAGGER)
         piped = gpu_count_triangles(small_rmat, options=DAGGER,
-                                    mode="pipelined")
-        assert isinstance(serial.timeline, StreamTimeline)
+                                    pipeline_chunks=CHUNKS)
         model = serial.timeline.pipelined_ms()
         measured = piped.timeline.makespan_ms
         assert measured >= model - 1e-12   # model is the N→∞ limit
@@ -87,29 +85,25 @@ class TestPipelinedExecution:
 
     def test_more_chunks_converge_toward_model(self, small_rmat):
         serial = gpu_count_triangles(small_rmat, options=DAGGER)
-        assert isinstance(serial.timeline, StreamTimeline)
         model = serial.timeline.pipelined_ms()
         gaps = []
         for chunks in (1, 4, 16):
             piped = gpu_count_triangles(
-                small_rmat, options=DAGGER, mode="pipelined",
-                pipeline=PipelinedPlan(chunks=chunks))
+                small_rmat, options=DAGGER, pipeline_chunks=chunks)
             gaps.append(piped.timeline.makespan_ms - model)
         assert gaps[0] > gaps[1] > gaps[2] >= -1e-12
 
     def test_d2h_rides_its_own_stream(self, small_rmat):
-        plan = PipelinedPlan()
         piped = gpu_count_triangles(small_rmat, options=DAGGER,
-                                    mode="pipelined", pipeline=plan)
+                                    pipeline_chunks=CHUNKS)
         tl = piped.timeline
-        assert isinstance(tl, StreamTimeline)
         streams = {e.stream for e in tl.stream_events}
-        assert {DEFAULT_STREAM, plan.copy_stream, plan.d2h_stream} <= streams
+        assert {DEFAULT_STREAM, COPY_STREAM, D2H_STREAM} <= streams
         d2h = [e for e in tl.stream_events if e.name == "d2h result"]
-        assert d2h and d2h[0].stream == plan.d2h_stream
+        assert d2h and d2h[0].stream == D2H_STREAM
 
     def test_forces_dagger_protocol(self, small_rmat):
-        piped = gpu_count_triangles(small_rmat, mode="pipelined")
+        piped = gpu_count_triangles(small_rmat, pipeline_chunks=CHUNKS)
         assert piped.used_cpu_fallback
         assert piped.options.cpu_preprocess == "always"
 
@@ -117,39 +111,50 @@ class TestPipelinedExecution:
         with pytest.raises(ReproError, match="cpu_preprocess"):
             gpu_count_triangles(small_rmat,
                                 options=GpuOptions(cpu_preprocess="never"),
-                                mode="pipelined")
+                                pipeline_chunks=CHUNKS)
 
-    def test_rejects_unknown_mode(self, small_rmat):
-        with pytest.raises(ReproError, match="serial.*pipelined"):
-            gpu_count_triangles(small_rmat, mode="async")
+    def test_serial_default_records_no_schedule(self, small_rmat):
+        """Without pipeline_chunks the run is the serial protocol: no
+        dependency edges and every event on the default stream."""
+        run = gpu_count_triangles(small_rmat, options=DAGGER)
+        assert run.timeline.stream_deps == []
+        assert {e.stream for e in run.timeline.stream_events} == {
+            DEFAULT_STREAM}
 
     def test_pipelined_launch_needs_graph(self):
         with pytest.raises(ReproError, match="graph"):
-            pipelined_launch(LaunchPlan(kernel="merge"))
+            launch(LaunchPlan(kernel="merge", pipeline_chunks=CHUNKS))
 
-    def test_pipelined_launch_rejects_plain_timeline(self, small_rmat):
-        with pytest.raises(ReproError, match="StreamTimeline"):
-            pipelined_launch(LaunchPlan(kernel="merge", graph=small_rmat,
-                                        options=DAGGER,
-                                        timeline=Timeline()))
+    def test_chunked_preprocess_needs_dagger(self, small_rmat):
+        from repro.core.preprocess import preprocess
+        from repro.gpusim.memory import DeviceMemory
 
-    def test_d2h_stream_needs_stream_timeline(self, small_rmat):
-        with pytest.raises(ReproError, match="StreamTimeline"):
-            launch(LaunchPlan(kernel="merge", graph=small_rmat,
-                              timeline=Timeline(), d2h_stream=2))
+        with pytest.raises(ReproError, match="cpu_preprocess='always'"):
+            preprocess(small_rmat, GTX_980, DeviceMemory(GTX_980),
+                       Timeline(), GpuOptions(), chunks=CHUNKS)
+
+    def test_pipeline_chunks_rejects_slice_launch(self, small_rmat):
+        from repro.core.preprocess import preprocess
+        from repro.gpusim.memory import DeviceMemory
+
+        memory = DeviceMemory(GTX_980)
+        pre = preprocess(small_rmat, GTX_980, memory, Timeline())
+        with pytest.raises(ReproError, match="preprocessed"):
+            launch(LaunchPlan(kernel="merge", memory=memory,
+                              preprocessed=pre, pipeline_chunks=CHUNKS))
 
     def test_golden_pinned_identity(self, small_rmat):
         """Both modes pinned to the committed golden cell: a mismatch
         means a schedule change leaked into what the simulated GPU
         observes."""
         golden = json.loads(GOLDEN_PATH.read_text())["pipelined/dagger"]
-        for mode in ("serial", "pipelined"):
+        for chunks in (None, CHUNKS):
             run = gpu_count_triangles(small_rmat, device=GTX_980,
-                                      options=DAGGER, mode=mode)
+                                      options=DAGGER, pipeline_chunks=chunks)
             cell = {"triangles": run.triangles,
                     "counters": json.loads(json.dumps(
                         run.kernel_report.counters(), default=list))}
-            assert cell == golden, mode
+            assert cell == golden, chunks
 
 
 class TestOverlapBench:

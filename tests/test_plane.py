@@ -1,7 +1,7 @@
 """Unit tests for the serving control plane (repro.serve.plane).
 
-Covers the four components — degraded tier, continuous batching,
-SLO-aware admission, replica groups (through cache pinning) — plus the
+Covers the three components — degraded tier, SLO-aware admission,
+replica groups (through cache pinning) — plus the
 per-tier report/CSV accounting and the serve-scale bench + CLI gate.
 """
 
@@ -123,53 +123,6 @@ class TestCachePinning:
 
 
 # ---------------------------------------------------------------------- #
-# continuous batching
-# ---------------------------------------------------------------------- #
-
-
-class TestBatching:
-    def _plane(self, max_batch=8):
-        return ControlPlane(PlaneConfig(batching=True, max_batch=max_batch,
-                                        admission=False, degraded=False,
-                                        replicas=1))
-
-    def test_same_key_jobs_share_launches(self, graph):
-        fleet = Fleet.from_keys(["gtx980"])
-        report = serve_trace(fleet, same_key_jobs(graph, 12),
-                             plane=self._plane())
-        assert len(report.done) == 12
-        assert report.batched_launches >= 1
-        assert report.batched_jobs > report.batched_launches
-        assert report.launches < 12     # coalescing actually saved launches
-
-    def test_batched_results_bit_identical_to_unbatched(self, graph):
-        plain = serve_trace(Fleet.from_keys(["gtx980"]),
-                            same_key_jobs(graph, 12))
-        batched = serve_trace(Fleet.from_keys(["gtx980"]),
-                              same_key_jobs(graph, 12), plane=self._plane())
-        a = {j.job_id: j.triangles for j in plain.done}
-        b = {j.job_id: j.triangles for j in batched.done}
-        assert a == b and len(a) == 12
-
-    def test_max_batch_respected(self, graph):
-        fleet = Fleet.from_keys(["gtx980"])
-        report = serve_trace(fleet, same_key_jobs(graph, 12),
-                             plane=self._plane(max_batch=4))
-        per_launch = {}
-        for j in report.done:
-            per_launch.setdefault((j.start_ms, j.device_index), []).append(j)
-        assert max(len(v) for v in per_launch.values()) <= 4
-
-    def test_batch_disabled_means_no_coalescing(self, graph):
-        plane = ControlPlane(PlaneConfig(batching=False, admission=False,
-                                         degraded=False, replicas=1))
-        report = serve_trace(Fleet.from_keys(["gtx980"]),
-                             same_key_jobs(graph, 6), plane=plane)
-        assert report.batched_launches == 0
-        assert report.launches == 6
-
-
-# ---------------------------------------------------------------------- #
 # SLO-aware admission + shed resolution
 # ---------------------------------------------------------------------- #
 
@@ -179,8 +132,7 @@ class TestAdmission:
         # A deadline equal to the arrival instant cannot be met by any
         # run with positive service time: admission must shed it and
         # record the prediction that doomed it.
-        plane = ControlPlane(PlaneConfig(degraded=False, replicas=1,
-                                         batching=False))
+        plane = ControlPlane(PlaneConfig(degraded=False, replicas=1))
         jobs = same_key_jobs(graph, 3, arrival_ms=5.0, deadline_ms=5.0)
         report = serve_trace(Fleet.from_keys(["gtx980"]), jobs, plane=plane)
         assert len(report.shed) == 3
@@ -192,7 +144,7 @@ class TestAdmission:
             assert not job.shed.degraded
 
     def test_degraded_tier_answers_shed_jobs(self, graph):
-        plane = ControlPlane(PlaneConfig(replicas=1, batching=False))
+        plane = ControlPlane(PlaneConfig(replicas=1))
         jobs = same_key_jobs(graph, 3, arrival_ms=5.0, deadline_ms=5.0)
         report = serve_trace(Fleet.from_keys(["gtx980"]), jobs, plane=plane)
         assert len(report.shed) == 0
@@ -216,8 +168,6 @@ class TestAdmission:
         with pytest.raises(ReproError):
             PlaneConfig(replicas=0)
         with pytest.raises(ReproError):
-            PlaneConfig(max_batch=0)
-        with pytest.raises(ReproError):
             PlaneConfig(approx_method="nope")
 
 
@@ -229,8 +179,7 @@ class TestAdmission:
 class TestReplicaGroups:
     def test_hot_key_replicates_and_pins(self, pool, memory):
         plane = ControlPlane(PlaneConfig(replicas=2, hot_threshold=2,
-                                         admission=False, degraded=False,
-                                         batching=False))
+                                         admission=False, degraded=False))
         fleet = Fleet.homogeneous("gtx980", 4, memory_bytes=memory)
         report = serve_trace(fleet, generate_trace(CONFIG, pool),
                              plane=plane)
@@ -242,8 +191,7 @@ class TestReplicaGroups:
         seed = serve_trace(Fleet.homogeneous("gtx980", 4,
                                              memory_bytes=memory),
                            generate_trace(CONFIG, pool))
-        plane = ControlPlane(PlaneConfig(admission=False, degraded=False,
-                                         batching=False))
+        plane = ControlPlane(PlaneConfig(admission=False, degraded=False))
         steered = serve_trace(Fleet.homogeneous("gtx980", 4,
                                                 memory_bytes=memory),
                               generate_trace(CONFIG, pool), plane=plane)
@@ -275,7 +223,6 @@ class TestTierAccounting:
     def test_report_renders_plane_lines(self, overload):
         text = overload.plane_report.format_report()
         assert "shed / degraded-tier answers" in text
-        assert "shared launches (jobs / launch)" in text
         assert "replica copies pinned" in text
         seed_text = overload.seed_report.format_report()
         assert "shed / degraded-tier" not in seed_text   # plane-off sheet

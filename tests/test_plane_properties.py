@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) for control-plane invariants.
 
-Three invariants the ISSUE promotes to properties, not examples:
+Two invariants held as properties, not examples:
 
 * every job ends in exactly one of {done, shed, lost} — no job is left
   pending and no terminal state overlaps another;
-* continuous batching is result-preserving: a batched replay's counts
-  are bit-identical to the unbatched replay of the same trace;
 * admission soundness: the controller never sheds a job the wait model
   predicts can meet its deadline (every deadline-shed response records
   ``predicted_finish_ms > slo_ms``).
@@ -38,18 +36,16 @@ def _trace(seed, duration_ms=3_000.0, rate_per_s=4.0, multiplier=1.0,
 @RELAXED
 @given(seed=st.integers(0, 40),
        fail_frac=st.none() | st.floats(0.1, 0.9),
-       admission=st.booleans(), degraded=st.booleans(),
-       batching=st.booleans())
+       admission=st.booleans(), degraded=st.booleans())
 def test_every_job_ends_in_exactly_one_terminal_state(
-        seed, fail_frac, admission, degraded, batching):
+        seed, fail_frac, admission, degraded):
     jobs = _trace(seed)
     fleet = Fleet.homogeneous("gtx980", 2)
     if fail_frac is not None:       # whole-fleet death mid-trace
         fleet.inject_failure(0, at_ms=3_000.0 * fail_frac * 0.6)
         fleet.inject_failure(1, at_ms=3_000.0 * fail_frac)
     plane = ControlPlane(PlaneConfig(admission=admission,
-                                     degraded=degraded,
-                                     batching=batching, replicas=2))
+                                     degraded=degraded, replicas=2))
     report = serve_trace(fleet, jobs, plane=plane)
 
     for job in report.jobs:
@@ -67,20 +63,6 @@ def test_every_job_ends_in_exactly_one_terminal_state(
 
 
 @RELAXED
-@given(seed=st.integers(0, 40), max_batch=st.integers(2, 16))
-def test_batched_replay_bit_identical_to_unbatched(seed, max_batch):
-    plain = serve_trace(Fleet.homogeneous("gtx980", 2), _trace(seed))
-    plane = ControlPlane(PlaneConfig(batching=True, max_batch=max_batch,
-                                     admission=False, degraded=False,
-                                     replicas=1))
-    batched = serve_trace(Fleet.homogeneous("gtx980", 2), _trace(seed),
-                          plane=plane)
-    assert ({j.job_id: j.triangles for j in plain.done}
-            == {j.job_id: j.triangles for j in batched.done})
-    assert len(batched.done) == len(batched.jobs)
-
-
-@RELAXED
 @given(seed=st.integers(0, 40),
        slack_ms=st.floats(0.0, 2.0),
        default_slo=st.none() | st.floats(0.05, 10.0))
@@ -90,8 +72,7 @@ def test_admission_never_sheds_a_predicted_meetable_job(
     # slack: a shed response always records a predicted miss.
     jobs = _trace(seed, deadline_slack_ms=slack_ms)
     plane = ControlPlane(PlaneConfig(admission=True, degraded=False,
-                                     batching=False, replicas=1,
-                                     default_slo_ms=default_slo))
+                                     replicas=1, default_slo_ms=default_slo))
     report = serve_trace(Fleet.homogeneous("gtx980", 1), jobs, plane=plane)
     for job in report.shed:
         if job.shed.reason != SHED_DEADLINE:
