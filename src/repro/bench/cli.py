@@ -11,9 +11,7 @@ Examples::
     repro-bench inputformat multigpu baselines related
     repro-bench profile -w orkut       # nvprof-style kernel metrics
     repro-bench serve                   # multi-tenant serving simulation
-    repro-bench serve --tuned configs/tuned.json   # with autotuned configs
     repro-bench serve-scale             # control-plane overload bench
-    repro-bench tune --config configs/sweep.toml   # autotune the sweep grid
     repro-bench kernelzoo --out BENCH_kernelzoo.json  # auto-pick calibration
     repro-bench reproduce --preset tiny # one-command artifact bundle
     repro-bench all --csv out_dir       # everything + CSV dumps
@@ -39,7 +37,7 @@ from repro.graphs.datasets import WORKLOADS, get, kronecker_names
 _COMMANDS = ("table1", "table2", "figure1", "ablations", "gridsearch",
              "inputformat", "multigpu", "baselines", "related", "profile",
              "sweep", "serve", "serve-scale", "overlap",
-             "kernelzoo", "sanitize", "analyze", "tune", "reproduce", "all")
+             "kernelzoo", "sanitize", "analyze", "reproduce", "all")
 #: ``all`` expands to every experiment except the bundle (which would
 #: re-run everything a second time into ``artifacts/``) and the static
 #: analyzer (which needs the repo checkout, not an installed package).
@@ -104,12 +102,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="sanitize: run the matrix in strict mode (typed "
                         "errors at the first finding)")
-    p.add_argument("--config", metavar="FILE",
-                   help="tune/reproduce: sweep config, TOML or JSON "
-                        "(default for tune: configs/sweep.toml)")
-    p.add_argument("--tuned", metavar="FILE",
-                   help="serve: apply per-device tuned configs "
-                        "(e.g. configs/tuned.json) to every launch")
     p.add_argument("--preset", choices=("tiny", "full"), default="full",
                    help="reproduce: artifact profile (default: %(default)s)")
     p.add_argument("--out-dir", default="artifacts", metavar="DIR",
@@ -145,8 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     if "reproduce" in commands:
         from repro.bench.reproduce import run_reproduce
         result = run_reproduce(preset_name=args.preset, seed=args.seed,
-                               out_dir=args.out_dir,
-                               config_path=args.config)
+                               out_dir=args.out_dir)
         commands -= {"reproduce"}
         if not result.ok:
             print(f"  FAIL: see "
@@ -241,16 +232,11 @@ def main(argv: list[str] | None = None) -> int:
     if "serve" in commands:
         from repro.bench.experiments import serve_experiment
         print("\n=== serving mode — multi-tenant trace replay ===")
-        tuned = None
-        if args.tuned:
-            from repro.serve import TunedConfigs
-            tuned = TunedConfigs.load(args.tuned)
-            print("  " + tuned.summary().replace("\n", "\n  "))
         exp = serve_experiment(fleet_spec=args.fleet,
                                duration_ms=args.duration * 1000.0,
                                rate_per_s=args.rate, seed=args.seed,
                                rate_multiplier=args.rate_multiplier or 1.0,
-                               burst=args.burst or 1.0, tuned=tuned)
+                               burst=args.burst or 1.0)
         print(exp.report.format_report())
         print(" ", exp.summary())
         _write(args.csv, "serve_jobs.csv", exp.report.jobs_csv())
@@ -388,24 +374,6 @@ def main(argv: list[str] | None = None) -> int:
             print("  FAIL: sanitizer findings or identity mismatch on "
                   "clean kernels")
             return 1
-
-    if "tune" in commands:
-        from repro.bench.autotune import run_sweep
-        from repro.bench.sweepconfig import load_sweep_config
-        print("\n=== autotune — config-driven sweep ===")
-        config_path = args.config or "configs/sweep.toml"
-        config = load_sweep_config(config_path)
-        print(f"  config: {config_path}")
-        report = run_sweep(config,
-                           progress=lambda r: print("  " + r.summary(),
-                                                    flush=True))
-        print(report.summary())
-        if config.emit_tuned:
-            path = report.write_tuned(config.emit_tuned)
-            print(f"  wrote {path}")
-        _write(args.csv, "tuned.json",
-               json.dumps(report.tuned_doc(), indent=2, sort_keys=True)
-               + "\n")
 
     if "baselines" in commands:
         print("\n=== Sections II-A / V baselines & approximations ===")

@@ -21,7 +21,7 @@ from repro.cpu.forward import forward_count_cpu
 from repro.cpu.node_iterator import node_iterator_count
 from repro.cpu.approx import birthday_paradox_count, doulion_count
 from repro.cpu.matmul import matmul_count
-from repro.errors import ReproError
+from repro.errors import InvalidLaunchError, ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import GTX_980, TESLA_C2050, XEON_X5650, DeviceSpec
 from repro.gpusim.memory import DeviceMemory
@@ -206,24 +206,20 @@ def grid_search(graph: EdgeArray,
     """E9: sweep the launch configuration (paper sweeps 32–1024 × 1–16
     and lands on 64 × 8 ⇒ 512 threads/SM on every device).
 
-    A thin wrapper over the autotuner's measurement path
-    (:func:`repro.bench.autotune.measure_launch_grid`): the hard-coded
-    paper grid and any ``configs/sweep.toml`` grid run through the same
-    code, so the E9 numbers are one declared config away from any wider
-    sweep (see docs/reproducibility.md).
+    Each point is one full pipeline run of the default (merge) kernel on
+    a fresh memory; launches the device cannot run
+    (:meth:`LaunchConfig.validate` fails) are skipped, not measured.
     """
-    from repro.bench.autotune import measure_launch_grid
-    from repro.bench.sweepconfig import SweepPoint
-
-    points = [SweepPoint(device=device.name, kernel="merge",
-                         threads_per_block=tpb, blocks_per_sm=bps,
-                         scale=1.0)
-              for tpb in tpb_values for bps in bps_values]
-    rows, _skipped = measure_launch_grid(graph, device, points)
     result = GridSearchResult(device=device)
-    for row in rows:
-        result.points[(row.point.threads_per_block,
-                       row.point.blocks_per_sm)] = row.kernel_ms
+    for tpb in tpb_values:
+        for bps in bps_values:
+            launch = LaunchConfig(tpb, bps)
+            try:
+                launch.validate(device)
+            except InvalidLaunchError:
+                continue
+            result.points[(tpb, bps)] = _kernel_ms(
+                graph, device, GpuOptions(launch=launch))
     return result
 
 
@@ -412,8 +408,7 @@ def serve_experiment(fleet_spec: str = "gtx980x4",
                      rate_per_s: float = 2.0,
                      seed: int = 0,
                      rate_multiplier: float = 1.0,
-                     burst: float = 1.0,
-                     tuned=None) -> ServeExperiment:
+                     burst: float = 1.0) -> ServeExperiment:
     """Replay a deterministic trace against a simulated fleet.
 
     Runs three replays of the *same* trace: a fault-free pass to locate
@@ -421,11 +416,6 @@ def serve_experiment(fleet_spec: str = "gtx980x4",
     cache-enabled pass with that failure (the faulted job retries on
     another device with an identical count), and a cache-disabled pass
     for the service-time comparison.
-
-    ``tuned`` is an optional :class:`repro.serve.tuned.TunedConfigs`
-    (e.g. loaded from ``configs/tuned.json``) applied to every replay;
-    per the tuned contract it shifts simulated timings, never counts, so
-    the fault-retry identity assertion below holds with or without it.
     """
     from repro.serve import (Fleet, TraceConfig, build_graph_pool,
                              generate_trace, serve_trace, size_fleet_memory)
@@ -444,7 +434,7 @@ def serve_experiment(fleet_spec: str = "gtx980x4",
         if inject is not None:
             fleet.inject_failure(*inject)
         return serve_trace(fleet, generate_trace(config, pool),
-                           cache_enabled=cache, tuned=tuned)
+                           cache_enabled=cache)
 
     # Fault-free scout pass: aim the failure mid-window of a fast-path
     # job so the retry machinery provably engages.

@@ -3,25 +3,23 @@
 One invocation regenerates every headline artifact of the reproduction —
 Table I, Table II, Figure 1, a check of every other E1–E16 claim of the
 paper's evaluation, the ``==SERVE==`` report, the serve-scale overload
-bench and the autotuned per-device configs — and writes the lot into
-one output directory:
+bench and a static-analysis log — and writes the lot into one output
+directory:
 
 * ``summary.json`` — machine-readable: every measured number next to
   the paper's quoted band or the claim's bound, with an explicit
   pass/fail per check;
 * ``report.md`` — the same content rendered for humans;
 * ``manifest.json`` — environment/seed manifest (Python, numpy,
-  platform, git SHA, ``REPRO_SCALE``, per-experiment RNG seeds, the
-  sweep config that produced ``tuned.json``);
+  platform, git SHA, ``REPRO_SCALE``, per-experiment RNG seeds);
 * the per-experiment files (``table1.csv``, ``figure1.csv``,
-  ``BENCH_serve.json``, ``serve_jobs.csv``, ``tuned.json``) — see
+  ``BENCH_serve.json``, ``serve_jobs.csv``, ``analysis.sarif``) — see
   ``ARTIFACTS.md`` for each file's schema.
 
 Two presets: ``full`` reproduces the committed artifacts (all 13
-Table I rows, the committed bench configs, the ``configs/sweep.toml``
-grid); ``tiny`` is the CI smoke profile (quarter scale, a 6-row subset,
-short traces, a 2x2 sweep grid) that exercises every code path in
-well under a minute.
+Table I rows, the committed bench configs); ``tiny`` is the CI smoke
+profile (quarter scale, a 6-row subset, short traces) that exercises
+every code path in well under a minute.
 
 Determinism contract: everything simulated is bit-reproducible for a
 fixed (preset, seed, ``REPRO_SCALE``); host wall-clock numbers and
@@ -47,7 +45,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from repro.bench import experiments, figures, tables
-from repro.bench.autotune import SweepReport, run_sweep
 from repro.bench.calibration import (CLAIM_BOUNDS,
                                      EQUIVALENCE_THREADS_PER_SM,
                                      GPU_LAUNCH_FLOOR_MS, Bound,
@@ -57,7 +54,6 @@ from repro.bench.related import compare_with_green, compare_with_leist
 from repro.bench.runner import RowResult, run_table1, scaled_setup
 from repro.bench.serve_scale import report_doc, run_serve_scale
 from repro.bench.sweep import scale_sweep
-from repro.bench.sweepconfig import SweepConfig, load_sweep_config
 from repro.core.distributed import distributed_count_triangles
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.multi_gpu import multi_gpu_count_triangles
@@ -66,7 +62,6 @@ from repro.errors import OutOfDeviceMemoryError
 from repro.graphs.datasets import get, kronecker_names
 from repro.gpusim.device import GTX_980, NVS_5200M, TESLA_C2050
 from repro.gpusim.memory import DeviceMemory
-from repro.serve.tuned import TunedConfigs
 from repro.utils import env_scale
 
 #: summary.json format marker (bump on breaking schema changes).
@@ -77,7 +72,7 @@ SUMMARY_FORMAT = "repro-summary/v1"
 #: :func:`deterministic_doc` strips them so byte-identity across runs is
 #: testable.  ``identical``/band verdicts never live under these keys.
 VOLATILE_KEYS = frozenset({
-    "generated_at", "git_sha", "host", "host_s",
+    "generated_at", "git_sha", "host",
 })
 
 #: Committed baseline the ``full`` preset regression-checks against.
@@ -109,9 +104,6 @@ ARTIFACT_FILES: dict[str, tuple[str, str]] = {
     "serve_jobs.csv": (
         "repro.serve.metrics.ServeReport.jobs_csv",
         "per-job ledger of the primary serving replay"),
-    "tuned.json": (
-        "repro.bench.autotune.SweepReport.write_tuned",
-        "autotuner winners per device (consumed by the serve scheduler)"),
     "analysis.sarif": (
         "repro.analyze.run.run_repo_analysis",
         "static-analysis findings (SARIF 2.1.0) of the analyzed trees, "
@@ -135,8 +127,6 @@ class Preset:
     configs: tuple[str, ...]
     serve_duration_ms: float
     serve_scale_duration_ms: float
-    sweep_tpb: tuple[int, ...]
-    sweep_bps: tuple[int, ...]
     #: compare against the committed BENCH_*.json files (only meaningful
     #: when the run uses the committed configs, i.e. the full preset).
     compare_baselines: bool
@@ -146,7 +136,6 @@ FULL = Preset(
     name="full", factor=1.0, table1_workloads=None,
     configs=("c2050", "quad", "gtx980"),
     serve_duration_ms=60_000.0, serve_scale_duration_ms=30_000.0,
-    sweep_tpb=(32, 64, 256, 1024), sweep_bps=(1, 2, 8, 16),
     compare_baselines=True)
 
 TINY = Preset(
@@ -154,7 +143,6 @@ TINY = Preset(
     table1_workloads=("ba", "ws", "internet", "kron16", "kron17", "kron18"),
     configs=("c2050", "quad", "gtx980"),
     serve_duration_ms=10_000.0, serve_scale_duration_ms=10_000.0,
-    sweep_tpb=(64, 256), sweep_bps=(2, 8),
     compare_baselines=False)
 
 PRESETS = {p.name: p for p in (TINY, FULL)}
@@ -191,9 +179,7 @@ def _git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
-def environment_manifest(preset: Preset, seed: int,
-                         sweep: SweepConfig,
-                         sweep_source: str) -> dict:
+def environment_manifest(preset: Preset, seed: int) -> dict:
     """The seed/environment ledger stamped into every artifact set.
 
     Must be called *inside* the :func:`scaled` context so ``env_scale``
@@ -211,9 +197,8 @@ def environment_manifest(preset: Preset, seed: int,
         "env_scale": env_scale(),
         "seeds": {
             "table1": seed, "figure1": seed, "serve": seed,
-            "serve_scale": seed, "sweep": sweep.seed,
+            "serve_scale": seed,
         },
-        "sweep_config": {"source": sweep_source, **sweep.doc()},
     }
 
 
@@ -717,54 +702,6 @@ def _analyze_section(analysis) -> dict:
             "ok": all(c["passed"] for c in checks)}
 
 
-def _tune_section(sweep_report: SweepReport, tuned_path: str) -> dict:
-    """Autotune results + the round-trip check into the serve loader."""
-    tuned_doc = sweep_report.tuned_doc()
-    checks = []
-    try:
-        tuned = TunedConfigs.load(tuned_path)
-        missing = [d for d in tuned_doc["devices"]
-                   if tuned.entry_for(d) is None]
-        checks.append(_check(
-            "tuned_roundtrip", not missing,
-            f"serve-side loader must resolve every tuned device "
-            f"(missing: {missing})" if missing else
-            f"serve-side loader resolves all "
-            f"{len(tuned_doc['devices'])} tuned device(s)"))
-    except Exception as exc:   # noqa: BLE001 — verdict, not control flow
-        checks.append(_check("tuned_roundtrip", False,
-                             f"TunedConfigs.load failed: {exc}"))
-    # The paper lands on 64x8 (512 threads/SM) and reports all ~512/SM
-    # geometries equivalent; when the grid contains that point, the
-    # winner must not beat it by more than 10%.
-    best = sweep_report.best_per_device()
-    for device, row in sorted(best.items()):
-        paper_point = [r for r in sweep_report.rows
-                       if r.point.device == device
-                       and r.point.kernel == row.point.kernel
-                       and r.point.scale == row.point.scale
-                       and (r.point.threads_per_block,
-                            r.point.blocks_per_sm) == (64, 8)]
-        if paper_point:
-            ratio = paper_point[0].kernel_ms / max(row.kernel_ms, 1e-12)
-            checks.append(_check(
-                f"paper_launch_competitive_{device}", ratio <= 1.10,
-                f"64x8 is {ratio:.3f}x the best point "
-                f"({row.point.threads_per_block}x"
-                f"{row.point.blocks_per_sm}) on {device}"))
-    return {
-        "doc": tuned_doc,
-        "rows": [{"point": r.point.label(),
-                  "kernel_ms": round(r.kernel_ms, 4),
-                  "host_s": round(r.host_s, 4),
-                  "triangles": r.triangles} for r in sweep_report.rows],
-        "skipped": [{"point": p.label(), "reason": reason}
-                    for p, reason in sweep_report.skipped],
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-
-
 # ---------------------------------------------------------------------- #
 # the bundle
 # ---------------------------------------------------------------------- #
@@ -783,26 +720,8 @@ class ReproduceResult:
         return bool(self.summary.get("ok"))
 
 
-def _resolve_sweep(preset: Preset, seed: int,
-                   config_path: str | None) -> tuple[SweepConfig, str]:
-    """The sweep to run: an explicit ``--config`` wins; the full preset
-    picks up the committed ``configs/sweep.toml``; otherwise the
-    preset's built-in grid."""
-    if config_path:
-        return load_sweep_config(config_path), config_path
-    if preset.compare_baselines and os.path.exists("configs/sweep.toml"):
-        return load_sweep_config("configs/sweep.toml"), "configs/sweep.toml"
-    return SweepConfig(
-        name=f"reproduce-{preset.name}", workload="kron17", seed=seed,
-        objective="kernel_ms", devices=("gtx980", "c2050"),
-        kernels=("merge", "warp_intersect"),
-        threads_per_block=preset.sweep_tpb, blocks_per_sm=preset.sweep_bps,
-        scales=(1.0,)), "<built-in>"
-
-
 def run_reproduce(preset_name: str = "full", seed: int = 0,
                   out_dir: str = "artifacts",
-                  config_path: str | None = None,
                   verbose: bool = True) -> ReproduceResult:
     """Run every experiment of the preset and write the artifact set."""
     if preset_name not in PRESETS:
@@ -815,10 +734,7 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
             print(msg, flush=True)
 
     with scaled(preset.factor):
-        sweep_config, sweep_source = _resolve_sweep(preset, seed,
-                                                    config_path)
-        manifest = environment_manifest(preset, seed, sweep_config,
-                                        sweep_source)
+        manifest = environment_manifest(preset, seed)
         say(f"[reproduce] preset={preset.name} seed={seed} "
             f"env_scale={manifest['env_scale']:g} -> {out_dir}/")
 
@@ -841,16 +757,9 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
         res = run_serve_scale(duration_ms=preset.serve_scale_duration_ms,
                               seed=seed)
 
-        say(f"[reproduce] autotune sweep ({sweep_source}) ...")
-        sweep_report = run_sweep(sweep_config)
-
         say("[reproduce] static analysis ...")
         from repro.analyze.run import run_repo_analysis
         analysis = run_repo_analysis()
-
-        os.makedirs(out_dir, exist_ok=True)
-        tuned_path = os.path.join(out_dir, "tuned.json")
-        sweep_report.write_tuned(tuned_path)
 
         sections = {
             "table1": _table1_section(rows),
@@ -858,7 +767,6 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
             "claims": _claims_section(claims),
             "serve": _serve_section(exp, preset, seed),
             "serve_scale": _serve_scale_section(res, preset),
-            "tune": _tune_section(sweep_report, tuned_path),
             "analyze": _analyze_section(analysis),
         }
         summary = {
@@ -869,8 +777,7 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
             "ok": all(s["ok"] for s in sections.values()),
         }
 
-        report_md = render_report(summary, rows, kron_rows, exp, res,
-                                  sweep_report)
+        report_md = render_report(summary, rows, kron_rows, exp, res)
         files = _write_artifacts(out_dir, summary, report_md, rows,
                                  kron_rows, exp, res, analysis)
     result = ReproduceResult(summary=summary, report_md=report_md,
@@ -882,6 +789,7 @@ def run_reproduce(preset_name: str = "full", seed: int = 0,
 
 def _write_artifacts(out_dir, summary, report_md, rows, kron_rows, exp,
                      res, analysis) -> list[str]:
+    os.makedirs(out_dir, exist_ok=True)
     content = {
         "manifest.json": _dumps(summary["manifest"]),
         "summary.json": _dumps(summary),
@@ -891,7 +799,6 @@ def _write_artifacts(out_dir, summary, report_md, rows, kron_rows, exp,
         "BENCH_serve.json": res.json_str(),
         "serve_jobs.csv": exp.report.jobs_csv(),
         "analysis.sarif": analysis.sarif,
-        # tuned.json already written by SweepReport.write_tuned.
     }
     files = []
     for filename, text in content.items():
@@ -899,11 +806,10 @@ def _write_artifacts(out_dir, summary, report_md, rows, kron_rows, exp,
         with open(path, "w") as fh:
             fh.write(text)
         files.append(path)
-    return sorted(files + [os.path.join(out_dir, "tuned.json")])
+    return sorted(files)
 
 
-def render_report(summary, rows, kron_rows, exp, res,
-                  sweep_report: SweepReport) -> str:
+def render_report(summary, rows, kron_rows, exp, res) -> str:
     """The human-readable ``report.md``."""
     m = summary["manifest"]
     s = summary["sections"]
@@ -918,10 +824,7 @@ def render_report(summary, rows, kron_rows, exp, res,
     for key in ("generated_at", "git_sha", "python", "numpy", "platform",
                 "preset", "scale_factor", "env_scale"):
         out.write(f"- `{key}`: `{m[key]}`\n")
-    out.write(f"- seeds: `{json.dumps(m['seeds'], sort_keys=True)}`\n")
-    out.write(f"- sweep config: `{m['sweep_config']['source']}` "
-              f"(`{m['sweep_config']['name']}` on "
-              f"`{m['sweep_config']['workload']}`)\n\n")
+    out.write(f"- seeds: `{json.dumps(m['seeds'], sort_keys=True)}`\n\n")
 
     def verdict(section):
         return "PASS" if section["ok"] else "FAIL"
@@ -973,9 +876,6 @@ def render_report(summary, rows, kron_rows, exp, res,
     out.write(f"## Serve-scale (overload) — {verdict(s['serve_scale'])}\n\n")
     out.write(res.summary() + "\n\n")
 
-    out.write(f"## Autotune — {verdict(s['tune'])}\n\n")
-    out.write("```text\n" + sweep_report.summary() + "\n```\n\n")
-
     out.write(f"## Static analysis — {verdict(s['analyze'])}\n\n")
     a = s["analyze"]["doc"]
     out.write(f"{a['files']} file(s) analyzed; {len(a['new'])} new "
@@ -1013,10 +913,6 @@ def build_parser(prog: str = "reproduce_all") -> argparse.ArgumentParser:
                    help="RNG seed for every experiment (default: 0)")
     p.add_argument("--out-dir", default="artifacts", metavar="DIR",
                    help="artifact output directory (default: %(default)s)")
-    p.add_argument("--config", metavar="FILE",
-                   help="sweep config (TOML/JSON) for the autotune stage "
-                        "(default: configs/sweep.toml for --scale full, "
-                        "a built-in grid otherwise)")
     p.add_argument("-q", "--quiet", action="store_true",
                    help="suppress progress output")
     return p
@@ -1025,8 +921,7 @@ def build_parser(prog: str = "reproduce_all") -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     result = run_reproduce(preset_name=args.scale, seed=args.seed,
-                           out_dir=args.out_dir, config_path=args.config,
-                           verbose=not args.quiet)
+                           out_dir=args.out_dir, verbose=not args.quiet)
     for path in result.files:
         print(f"  wrote {path}")
     print(f"reproduce: {'PASS' if result.ok else 'FAIL'} "

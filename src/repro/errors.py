@@ -178,21 +178,5 @@ class CalibrationError(ReproError):
     """A timing-model constant is missing or inconsistent."""
 
 
-class SweepConfigError(ReproError):
-    """A sweep/tuned config file violates the schema.
-
-    Attributes
-    ----------
-    key : str
-        Dotted path of the offending key (e.g. ``"grid.kernel"``), so
-        callers and tests can pinpoint the bad entry without parsing the
-        message.
-    """
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
-
-
 class WorkloadError(ReproError):
     """An unknown workload name or unsatisfiable workload parameters."""

@@ -20,14 +20,12 @@ from repro.runtime.launch import (D2H_STREAM, KernelLaunch, LaunchPlan,
                                   build_engine, dispatch_kernel, launch)
 from repro.runtime.spec import (BINARY_SEARCH, HASH, LOCAL, MERGE,
                                 WARP_INTERSECT, KernelSpec, get_kernel,
-                                kernel_names, kernel_option_field,
-                                kernel_option_fields, register,
+                                kernel_names, kernel_option_fields, register,
                                 resolve_kernel, spec_for_options)
 
 __all__ = [
     "KernelSpec", "register", "get_kernel", "kernel_names",
-    "resolve_kernel", "spec_for_options", "kernel_option_field",
-    "kernel_option_fields",
+    "resolve_kernel", "spec_for_options", "kernel_option_fields",
     "MERGE", "WARP_INTERSECT", "BINARY_SEARCH", "HASH", "LOCAL",
     "LaunchPlan", "KernelLaunch", "launch", "dispatch_kernel",
     "build_engine", "D2H_STREAM",

@@ -136,23 +136,6 @@ def resolve_kernel(kernel: KernelSpec | str) -> KernelSpec:
     return get_kernel(kernel)
 
 
-def kernel_option_field(name: str) -> str:
-    """The ``GpuOptions.kernel`` field value that selects registry kernel
-    ``name`` in the pipelines (the inverse of :func:`spec_for_options`).
-
-    Per-vertex specs (``local``) are selected by the pipeline entry
-    point, not an options field, so asking for their field is a typed
-    error rather than a silent wrong answer.
-    """
-    spec = get_kernel(name)
-    if spec.option_field is None:
-        raise ReproError(
-            f"kernel {name!r} is selected by the local-counts pipeline, "
-            f"not GpuOptions.kernel; sweepable kernels: "
-            f"{tuple(n for n in kernel_names() if get_kernel(n).option_field is not None)}")
-    return spec.option_field
-
-
 def spec_for_options(options: GpuOptions, per_vertex: bool = False) -> KernelSpec:
     """Map ``GpuOptions.kernel`` to its registered spec.
 

@@ -23,7 +23,6 @@ from repro.serve.queue import (DONE, LOST, PATH_APPROX, PATH_DISTRIBUTED,
                                ShedResponse, admissible_devices,
                                estimate_working_set_bytes, fits_device)
 from repro.serve.scheduler import FleetScheduler, serve_trace
-from repro.serve.tuned import TunedConfigs, TunedEntry
 from repro.serve.workload import (TraceConfig, build_graph_pool,
                                   generate_trace, size_fleet_memory)
 
@@ -41,7 +40,6 @@ __all__ = [
     "JobQueue", "ServeJob", "ShedResponse", "admissible_devices",
     "estimate_working_set_bytes", "fits_device",
     "FleetScheduler", "serve_trace",
-    "TunedConfigs", "TunedEntry",
     "TraceConfig", "build_graph_pool", "generate_trace",
     "size_fleet_memory",
 ]

@@ -47,7 +47,6 @@ from repro.serve.queue import (DONE, LOST, PATH_DISTRIBUTED, PATH_GPU, SHED,
 
 if TYPE_CHECKING:
     from repro.serve.plane import ControlPlane
-    from repro.serve.tuned import TunedConfigs
 
 #: Escalation ladder for the fallback path: smallest part count whose
 #: subgraphs fit the device wins (more parts = more redundant work).
@@ -86,19 +85,11 @@ class FleetScheduler:
         installed it adds SLO-aware admission, replica groups and the
         approximate degraded tier; ``None`` (default) reproduces the
         seed scheduler exactly.
-    tuned : TunedConfigs, optional
-        Per-device autotuned configs (``configs/tuned.json``, see
-        :mod:`repro.serve.tuned`).  Each GPU run applies the entry of
-        the device it lands on — launch geometry / kernel / engine
-        overrides that change simulated timing and host speed, never
-        triangle counts.  Job identity (cache keys) stays on the job's
-        own options.
     """
 
     def __init__(self, fleet: Fleet, cache_enabled: bool = True,
                  max_attempts: int = 4, backoff_ms: float = 25.0,
-                 plane: "ControlPlane | None" = None,
-                 tuned: "TunedConfigs | None" = None):
+                 plane: "ControlPlane | None" = None):
         if max_attempts < 1:
             raise ReproError(f"need >= 1 attempt, got {max_attempts}")
         if backoff_ms < 0:
@@ -108,7 +99,6 @@ class FleetScheduler:
         self.max_attempts = max_attempts
         self.backoff_ms = backoff_ms
         self.plane = plane
-        self.tuned = tuned
         self._gpu_memo: dict[tuple, _GpuRunMemo] = {}
         self._dist_memo: dict[tuple, object] = {}
 
@@ -273,16 +263,14 @@ class FleetScheduler:
         the direct path no longer fits (Section III-D6), so that bit is
         part of the run's identity.
         """
-        options = (self.tuned.options_for(dev.spec, job.options)
-                   if self.tuned is not None else job.options)
         direct = estimate_working_set_bytes(
-            job.graph, options.but(cpu_preprocess="never"), dev.spec)
-        key = (job.fingerprint, options.cache_key(), dev.spec.name,
+            job.graph, job.options.but(cpu_preprocess="never"), dev.spec)
+        key = (job.fingerprint, job.options.cache_key(), dev.spec.name,
                direct <= dev.free_bytes)
         memo = self._gpu_memo.get(key)
         if memo is None:
             run = gpu_count_triangles(job.graph, device=dev.spec,
-                                      options=options,
+                                      options=job.options,
                                       memory=dev.job_memory())
             memo = _GpuRunMemo(
                 triangles=run.triangles,
@@ -290,7 +278,7 @@ class FleetScheduler:
                 hit_service_ms=(run.timeline.phase_ms("count")
                                 + run.timeline.phase_ms("reduce")),
                 resident_nbytes=preprocessed_nbytes(
-                    job.graph.num_nodes, run.num_forward_arcs, options),
+                    job.graph.num_nodes, run.num_forward_arcs, job.options),
                 used_cpu_fallback=run.used_cpu_fallback,
                 sanitizer_findings=sum(r.occurrences
                                        for r in run.sanitizer_reports))

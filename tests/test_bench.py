@@ -168,6 +168,11 @@ class TestExperiments:
         assert (64, 8) in grid.points
         assert grid.points[(32, 1)] > grid.points[(64, 8)]
         assert "paper's choice" in grid.summary()
+        # 1024 x 16 is 16,384 threads/SM against the GTX 980's 2,048:
+        # skipped, not measured, and the valid points still run.
+        grid = grid_search(g, tpb_values=(64, 1024), bps_values=(8, 16))
+        assert (1024, 16) not in grid.points
+        assert set(grid.points) == {(64, 8), (64, 16)}
 
     def test_input_format_tiny(self):
         g = get("ba").build(scale=TINY["ba"], seed=0)
