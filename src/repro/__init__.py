@@ -19,19 +19,18 @@ paper-vs-measured record of every table and figure.
 from repro.types import TriangleCount
 from repro.errors import (ReproError, GraphFormatError, DeviceError,
                           OutOfDeviceMemoryError, InvalidLaunchError,
-                          WorkloadError, CalibrationError, KernelFault)
+                          WorkloadError, KernelFault)
 from repro.graphs import EdgeArray, CSRGraph, datasets, generators, io, stats
 from repro.gpusim import (DeviceSpec, CpuSpec, TESLA_C2050, GTX_980,
                           NVS_5200M, XEON_X5650, DEVICES, LaunchConfig)
 from repro.core import (GpuOptions, gpu_count_triangles, GpuRunResult,
                         multi_gpu_count_triangles, clustering_report,
-                        ClusteringReport, hybrid_count_triangles,
-                        partitioned_count_triangles,
+                        ClusteringReport, partitioned_count_triangles,
                         distributed_count_triangles,
                         gpu_local_counts, LocalCountResult)
 from repro.cpu import (forward_count_cpu, edge_iterator_count,
                        node_iterator_count, compact_forward_count,
-                       forward_hashed_count, matmul_count, approx,
+                       matmul_count, approx,
                        list_triangles, TriangleListing)
 from repro.serve import (Fleet, FleetDevice, FleetScheduler, JobQueue,
                          PreprocessCache, ServeJob, ServeReport,
@@ -44,7 +43,7 @@ __all__ = [
     # errors
     "ReproError", "GraphFormatError", "DeviceError",
     "OutOfDeviceMemoryError", "InvalidLaunchError", "WorkloadError",
-    "CalibrationError", "KernelFault",
+    "KernelFault",
     # graphs
     "EdgeArray", "CSRGraph", "datasets", "generators", "io", "stats",
     # devices
@@ -53,12 +52,12 @@ __all__ = [
     # core
     "GpuOptions", "gpu_count_triangles", "GpuRunResult",
     "multi_gpu_count_triangles", "clustering_report", "ClusteringReport",
-    "hybrid_count_triangles", "partitioned_count_triangles",
+    "partitioned_count_triangles",
     "distributed_count_triangles", "gpu_local_counts",
     "LocalCountResult",
     # cpu
     "forward_count_cpu", "edge_iterator_count", "node_iterator_count",
-    "compact_forward_count", "forward_hashed_count",
+    "compact_forward_count",
     "matmul_count", "approx", "list_triangles", "TriangleListing",
     # serve
     "Fleet", "FleetDevice", "FleetScheduler", "JobQueue",

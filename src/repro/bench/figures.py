@@ -13,22 +13,11 @@ from __future__ import annotations
 import io
 import math
 
-from repro.bench.runner import RowResult, run_workload
-from repro.graphs.datasets import kronecker_names
+from repro.bench.runner import RowResult
 
 SERIES = ("cpu", "c2050", "quad", "gtx980")
 _LABEL = {"cpu": "CPU", "c2050": "Tesla C2050", "quad": "4x Tesla C2050",
           "gtx980": "GTX 980"}
-
-
-def run_figure1(seed: int = 0, verbose: bool = True) -> list[RowResult]:
-    """Measure every Kronecker row (the figure shares Table I's data)."""
-    rows = []
-    for name in kronecker_names():
-        if verbose:
-            print(f"[figure1] running {name} ...", flush=True)
-        rows.append(run_workload(name, seed=seed))
-    return rows
 
 
 def series_points(rows: list[RowResult]) -> dict[str, list[tuple[int, float]]]:

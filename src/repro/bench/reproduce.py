@@ -71,9 +71,7 @@ SUMMARY_FORMAT = "repro-summary/v1"
 #: are the *only* nondeterministic content in the bundle;
 #: :func:`deterministic_doc` strips them so byte-identity across runs is
 #: testable.  ``identical``/band verdicts never live under these keys.
-VOLATILE_KEYS = frozenset({
-    "generated_at", "git_sha", "host",
-})
+VOLATILE_KEYS = frozenset({"generated_at", "git_sha"})
 
 #: Committed baseline the ``full`` preset regression-checks against.
 SERVE_BASELINE = "BENCH_serve.json"

@@ -11,11 +11,6 @@ from __future__ import annotations
 import io
 
 from repro.bench.runner import RowResult
-from repro.utils import human_ms
-
-
-def _fmt_ms(ms: float) -> str:
-    return human_ms(ms)
 
 
 def render_table1(rows: list[RowResult]) -> str:

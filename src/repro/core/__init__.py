@@ -8,9 +8,9 @@
 * :mod:`~repro.core.forward_gpu` — the single-GPU end-to-end pipeline
   with the paper's measurement protocol;
 * :mod:`~repro.core.multi_gpu` — the Section III-E multi-GPU extension;
-* :mod:`~repro.core.hybrid` / :mod:`~repro.core.partitioned` /
-  :mod:`~repro.core.distributed` — the Section VI future-work
-  directions, implemented (the last combines splitting with multi-GPU);
+* :mod:`~repro.core.partitioned` / :mod:`~repro.core.distributed` — the
+  Section VI future-work splitting direction, implemented (the second
+  combines splitting with multi-GPU);
 * :mod:`~repro.core.warp_intersect_kernel` — the Section V comparator;
 * :mod:`~repro.core.clustering` — clustering coefficient / transitivity
   on top of the counters (the motivating application).
@@ -21,7 +21,6 @@ from repro.core.forward_gpu import gpu_count_triangles, GpuRunResult
 from repro.core.multi_gpu import multi_gpu_count_triangles
 from repro.core.preprocess import preprocess, PreprocessResult
 from repro.core.clustering import clustering_report, ClusteringReport
-from repro.core.hybrid import hybrid_count_triangles
 from repro.core.partitioned import partitioned_count_triangles
 from repro.core.distributed import distributed_count_triangles
 from repro.core.local_counts import gpu_local_counts, LocalCountResult
@@ -35,7 +34,6 @@ __all__ = [
     "PreprocessResult",
     "clustering_report",
     "ClusteringReport",
-    "hybrid_count_triangles",
     "partitioned_count_triangles",
     "distributed_count_triangles",
     "gpu_local_counts",

@@ -8,7 +8,6 @@ Sections II-A and V:
 * :mod:`~repro.cpu.node_iterator` — check every wedge at every vertex;
 * :mod:`~repro.cpu.edge_iterator` — intersect full neighborhoods per edge;
 * :mod:`~repro.cpu.compact_forward` — Latapy's refinement;
-* :mod:`~repro.cpu.forward_hashed` — Schank–Wagner's hash-set variant;
 * :mod:`~repro.cpu.matmul` — ``trace(A³)/6`` (Alon–Yuster–Zwick);
 * :mod:`~repro.cpu.approx` — DOULION and the birthday-paradox stream.
 
@@ -21,7 +20,6 @@ from repro.cpu.forward import forward_count_cpu, ForwardCpuResult, merge_walk
 from repro.cpu.edge_iterator import edge_iterator_count
 from repro.cpu.node_iterator import node_iterator_count
 from repro.cpu.compact_forward import compact_forward_count
-from repro.cpu.forward_hashed import forward_hashed_count
 from repro.cpu.listing import list_triangles, TriangleListing
 from repro.cpu.matmul import matmul_count
 from repro.cpu import approx
@@ -33,7 +31,6 @@ __all__ = [
     "edge_iterator_count",
     "node_iterator_count",
     "compact_forward_count",
-    "forward_hashed_count",
     "list_triangles",
     "TriangleListing",
     "matmul_count",

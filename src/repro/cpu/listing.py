@@ -5,9 +5,8 @@ and listing all triangles" [3]; the forward algorithm lists as naturally
 as it counts — every match of the intersection identifies one triangle
 ``(w, u, v)`` with ``w ≺ u ≺ v`` exactly once.  This module materializes
 those matches, vectorized: for each forward arc the shorter endpoint
-list is expanded and membership-probed against the other (the same
-probe machinery as :mod:`repro.cpu.forward_hashed`), and the hits *are*
-the triangle list.
+list is expanded and membership-probed against the other, and the
+hits *are* the triangle list.
 
 Triangles come out de-duplicated by construction, labelled by original
 vertex ids, in (lowest-order, middle, highest) orientation order.

@@ -174,9 +174,5 @@ class CheckRegistrationError(AnalysisError):
         super().__init__(f"{check_id}: {message}")
 
 
-class CalibrationError(ReproError):
-    """A timing-model constant is missing or inconsistent."""
-
-
 class WorkloadError(ReproError):
     """An unknown workload name or unsatisfiable workload parameters."""

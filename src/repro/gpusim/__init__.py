@@ -8,9 +8,9 @@ hardware with a warp-lockstep SIMT simulator (see DESIGN.md §2):
   Xeon X5650 model for the CPU baseline;
 * :mod:`~repro.gpusim.memory` — global-memory allocator with capacity
   accounting and host↔device transfer timing;
-* :mod:`~repro.gpusim.cache` / :mod:`~repro.gpusim.coalesce` — per-SM
-  read-only cache (set-associative LRU) and per-warp transaction
-  coalescing, which together produce the Table II counters;
+* :mod:`~repro.gpusim.cache` — per-SM read-only cache and device L2
+  (set-associative LRU), which with the engine's per-warp transaction
+  coalescing produce the Table II counters;
 * :mod:`~repro.gpusim.cachestream` — runs each engine's cache model
   in-process or in a worker process on another core;
 * :mod:`~repro.gpusim.simt` — the lockstep execution engine kernels run

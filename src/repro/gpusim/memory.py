@@ -59,10 +59,6 @@ class DeviceBuffer:
     def itemsize(self) -> int:
         return self.data.itemsize
 
-    def addresses(self, indices: np.ndarray) -> np.ndarray:
-        """Byte addresses of ``self.data[indices]`` in device space."""
-        return self.device_addr + indices.astype(np.int64) * self.itemsize
-
 
 class DeviceMemory:
     """Bump allocator with explicit free and peak tracking.

@@ -30,7 +30,6 @@ import numpy as np
 from repro.errors import InvalidLaunchError, KernelFault
 from repro.gpusim.cache import COUNTER_NAMES, CacheArray
 from repro.gpusim.cachestream import open_cache_model
-from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import DeviceBuffer
 from repro.utils import boundary_mask, pow2_shift
@@ -228,8 +227,8 @@ class SimtEngine:
         self._report = KernelReport(device=device, launch=launch)
         self._report.sm_instruction_slots = np.zeros(device.num_sms,
                                                      dtype=np.int64)
-        # Packed-key geometry for :meth:`read_compacted`: one sorted
-        # int64 key (line, sm, warp) yields the transactions, and the
+        # Packed-key geometry for the memory methods: one sorted int64
+        # key (line, sm, warp) yields a read's transactions, and the
         # keys with the warp bits shifted out — (line, sm) — are what
         # the cache model dedupes per level.  ``_smw[w]`` packs a
         # warp's (sm, warp) low bits so key construction is one
@@ -342,13 +341,9 @@ class SimtEngine:
             self._apply(np.array([key], dtype=np.int64))
             return values
 
-        warp_ids = np.asarray(thread_ids)
-        if self._ws_shift is not None:
-            warp_ids = warp_ids >> self._ws_shift
-        else:
-            warp_ids = warp_ids // self.warp_size
+        warp_ids = self._warp_ids(thread_ids)
         # Packed (line, sm, warp) keys with the L1 on, (sector, warp)
-        # keys without; built in place with shifts where strides allow.
+        # keys without.
         if self._cached:
             gran, shift = self.device.line_bytes, self._line_shift
             low_bits, low, low_max = self._key_shift, self._smw[warp_ids], \
@@ -357,14 +352,7 @@ class SimtEngine:
             gran, shift = self.device.sector_bytes, self._sector_shift
             low_bits, low, low_max = self._warp_bits, warp_ids, \
                 self.num_warps
-        key = indices * buf.itemsize
-        key += buf.device_addr
-        if shift is not None:
-            key >>= shift
-        else:
-            key //= gran
-        key <<= low_bits
-        key += low
+        key = self._granule_keys(buf, indices, gran, shift, low, low_bits)
         if n >= 1024 and ((((buf.device_addr + buf.nbytes) // gran)
                            << low_bits) + low_max < _INT32_MAX):
             # Bulk reads: the sort dominates, and it scales with key
@@ -398,11 +386,10 @@ class SimtEngine:
                     f"out-of-bounds write to {buf.name!r}: index range "
                     f"[{lo}, {hi}] outside [0, {len(buf.data)})")
         buf.data[indices] = values
-        addrs = buf.addresses(indices)
-        warp_ids = np.asarray(thread_ids) // self.warp_size
-        batch = coalesce(warp_ids, addrs, self.device.sector_bytes)
-        self._report.transactions += batch.transactions
-        self._report.dram_bytes += batch.transactions * self.device.sector_bytes
+        sectors = self._pair_count(buf, indices, self._warp_ids(thread_ids),
+                                   self.device.sector_bytes)
+        self._report.transactions += sectors
+        self._report.dram_bytes += sectors * self.device.sector_bytes
 
     def atomic_add(self, buf: DeviceBuffer, indices: np.ndarray,
                    values: np.ndarray, thread_ids: np.ndarray) -> None:
@@ -428,16 +415,52 @@ class SimtEngine:
                     f"out-of-bounds atomic on {buf.name!r}: index range "
                     f"[{lo}, {hi}] outside [0, {len(buf.data)})")
         np.add.at(buf.data, indices, values)
-        addrs = buf.addresses(indices)
-        warp_ids = np.asarray(thread_ids) // self.warp_size
         # Colliding lanes serialize: transactions at address (not line)
         # granularity within the warp, sectors toward L2.
-        batch = coalesce(warp_ids, addrs, buf.itemsize)
-        sectors = coalesce(warp_ids, addrs, self.device.sector_bytes)
+        warp_ids = self._warp_ids(thread_ids)
+        words = self._pair_count(buf, indices, warp_ids, buf.itemsize)
+        sectors = self._pair_count(buf, indices, warp_ids,
+                                   self.device.sector_bytes)
         rep = self._report
-        rep.transactions += batch.transactions
-        rep.l2_bytes += 2 * sectors.transactions * self.device.sector_bytes
-        rep.dram_bytes += sectors.transactions * self.device.sector_bytes
+        rep.transactions += words
+        rep.l2_bytes += 2 * sectors * self.device.sector_bytes
+        rep.dram_bytes += sectors * self.device.sector_bytes
+
+    def _warp_ids(self, thread_ids: np.ndarray) -> np.ndarray:
+        """Issuing warp of each lane."""
+        warp_ids = np.asarray(thread_ids)
+        if self._ws_shift is not None:
+            return warp_ids >> self._ws_shift
+        return warp_ids // self.warp_size
+
+    @staticmethod
+    def _granule_keys(buf: DeviceBuffer, indices: np.ndarray, gran: int,
+                      shift: int | None, low: np.ndarray,
+                      low_bits: int) -> np.ndarray:
+        """Packed ``(addr // gran) << low_bits | low`` keys of one call's
+        lanes, built in place (``shift`` is ``log2(gran)`` or ``None``).
+        Addresses come from the device's bump allocator, so they stay
+        below ``DeviceSpec.memory_bytes`` and the packing cannot
+        overflow int64."""
+        key = indices * buf.itemsize
+        key += buf.device_addr
+        if shift is not None:
+            key >>= shift
+        else:
+            key //= gran
+        key <<= low_bits
+        key += low
+        return key
+
+    def _pair_count(self, buf: DeviceBuffer, indices: np.ndarray,
+                    warp_ids: np.ndarray, gran: int) -> int:
+        """Distinct (warp, address // gran) pairs of one call's lanes —
+        its transactions at that granularity."""
+        key = self._granule_keys(buf, indices.astype(np.int64, copy=False),
+                                 gran, pow2_shift(gran), warp_ids,
+                                 self._warp_bits)
+        key.sort()
+        return int(np.count_nonzero(boundary_mask(key)))
 
     # ------------------------------------------------------------------ #
     # execution accounting

@@ -48,7 +48,7 @@ def local_triangles(graph: EdgeArray) -> np.ndarray:
 
 def triangle_count_matmul(graph: EdgeArray) -> int:
     """Total triangles via ``trace(A³)/6`` — the Alon–Yuster–Zwick method
-    the paper cites as its future-work hybrid ingredient [21]."""
+    the paper cites [21]."""
     return int(local_triangles(graph).sum()) // 3
 
 

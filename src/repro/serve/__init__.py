@@ -20,8 +20,8 @@ from repro.serve.queue import (DONE, LOST, PATH_APPROX, PATH_DISTRIBUTED,
                                PATH_GPU, PENDING, SHED, SHED_DEADLINE,
                                SHED_FLEET_DEAD, SHED_NO_CAPACITY,
                                TIER_APPROX, TIER_EXACT, JobQueue, ServeJob,
-                               ShedResponse, admissible_devices,
-                               estimate_working_set_bytes, fits_device)
+                               ShedResponse, estimate_working_set_bytes,
+                               fits_device)
 from repro.serve.scheduler import FleetScheduler, serve_trace
 from repro.serve.workload import (TraceConfig, build_graph_pool,
                                   generate_trace, size_fleet_memory)
@@ -37,7 +37,7 @@ __all__ = [
     "PATH_GPU", "PATH_DISTRIBUTED", "PATH_APPROX",
     "TIER_EXACT", "TIER_APPROX",
     "SHED_DEADLINE", "SHED_FLEET_DEAD", "SHED_NO_CAPACITY",
-    "JobQueue", "ServeJob", "ShedResponse", "admissible_devices",
+    "JobQueue", "ServeJob", "ShedResponse",
     "estimate_working_set_bytes", "fits_device",
     "FleetScheduler", "serve_trace",
     "TraceConfig", "build_graph_pool", "generate_trace",

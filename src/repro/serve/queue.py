@@ -36,7 +36,7 @@ from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import aligned_nbytes
 from repro.serve.cache import graph_fingerprint
-from repro.serve.fleet import Fleet, FleetDevice
+from repro.serve.fleet import FleetDevice
 from repro.types import COUNT_DTYPE, INDEX_DTYPE, PACKED_DTYPE, VERTEX_DTYPE
 
 _PACKED = np.dtype(PACKED_DTYPE).itemsize
@@ -225,12 +225,6 @@ def fits_device(job: ServeJob, device: FleetDevice) -> bool:
         return False
     memory.free(probe)
     return True
-
-
-def admissible_devices(job: ServeJob, fleet: Fleet,
-                       t_ms: float) -> list[FleetDevice]:
-    """Healthy devices whose free memory can hold the job's working set."""
-    return [d for d in fleet.healthy(t_ms) if fits_device(job, d)]
 
 
 # ---------------------------------------------------------------------- #

@@ -6,8 +6,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.cache import CacheArray
-from repro.gpusim.coalesce import coalesce
+from repro.gpusim.device import GTX_980
+from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.reference import _ScalarLRU
+from repro.gpusim.simt import LaunchConfig, SimtEngine
+from tests.conftest import forced_transport
 
 
 @st.composite
@@ -109,30 +112,52 @@ def test_matches_scalar_reference(instances, ways, sets, batches):
                 == [sorted(row) for row in ref.tags])
 
 
+def _engine_read(pairs, use_l1=True):
+    """Read the ``(warp, byte address)`` pairs in one engine call (an
+    int8 buffer at device address 0, so an index is a byte address)."""
+    warps = np.array([p[0] for p in pairs], np.int64)
+    addrs = np.array([p[1] for p in pairs], np.int64)
+    mem = DeviceMemory(GTX_980)
+    buf = mem.alloc("x", np.zeros(int(addrs.max()) + 1, np.int8))
+    with forced_transport("inline"):
+        eng = SimtEngine(GTX_980, LaunchConfig(64, 2), use_ro_cache=use_l1)
+        eng.read_compacted(buf, addrs, warps * GTX_980.warp_size)
+    return eng
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4096)),
                 min_size=1, max_size=128))
 def test_coalesce_conservation(pairs):
     """Coalescing never loses requests, never exceeds them, and every
-    output granule is aligned and covers at least one input address."""
-    warps = np.array([p[0] for p in pairs], np.int64)
-    addrs = np.array([p[1] for p in pairs], np.int64)
-    batch = coalesce(warps, addrs, 128)
-    assert 1 <= batch.transactions <= len(pairs)
-    assert batch.lane_requests == len(pairs)
-    assert np.all(batch.line_addrs % 128 == 0)
-    covered = {(int(w), int(a) // 128) for w, a in zip(warps, addrs)}
-    produced = {(int(w), int(a) // 128)
-                for w, a in zip(batch.warp_ids, batch.line_addrs)}
-    assert produced == covered
+    line it fetches is aligned and covers at least one input address."""
+    eng = _engine_read(pairs)
+    rep = eng.report
+    covered = {(w, a // 128) for w, a in pairs}
+    assert 1 <= rep.transactions <= len(pairs)
+    assert rep.transactions == len(covered)
+    assert rep.lane_reads == len(pairs)
+    tags = eng.l2._tags
+    assert {int(t) for t in tags[tags >= 0]} == {a // 128 for _, a in pairs}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 4096), min_size=1, max_size=64),
-       st.sampled_from([32, 64, 128]))
-def test_finer_granularity_never_fewer_transactions(addrs, granule):
-    warps = np.zeros(len(addrs), np.int64)
-    a = np.array(addrs, np.int64)
-    coarse = coalesce(warps, a, 128)
-    fine = coalesce(warps, a, granule)
-    assert fine.transactions >= coarse.transactions
+       st.sampled_from(["read", "write", "atomic"]))
+def test_finer_granularity_never_fewer_transactions(addrs, kind):
+    """Sector-granular reads and writes and word-granular atomics never
+    take fewer transactions than line-granular (L1) reads."""
+    coarse = _engine_read([(0, a) for a in addrs]).report.transactions
+    if kind == "read":
+        fine = _engine_read([(0, a) for a in addrs], use_l1=False)
+    else:
+        mem = DeviceMemory(GTX_980)
+        buf = mem.alloc("x", np.zeros(max(addrs) + 1, np.int8))
+        idx = np.array(addrs, np.int64)
+        ones = np.ones(len(addrs), np.int8)
+        tids = np.zeros(len(addrs), np.int64)
+        with forced_transport("inline"):
+            fine = SimtEngine(GTX_980, LaunchConfig(64, 2))
+            getattr(fine, "write" if kind == "write" else "atomic_add")(
+                buf, idx, ones, tids)
+    assert fine.report.transactions >= coarse

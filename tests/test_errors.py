@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import (CalibrationError, DeviceError, DoubleFreeError,
-                          ForeignFreeError, GraphFormatError, InitcheckError,
+from repro.errors import (DeviceError, DoubleFreeError, ForeignFreeError,
+                          GraphFormatError, InitcheckError,
                           InvalidFreeError, InvalidLaunchError, KernelFault,
                           MemcheckError, OutOfDeviceMemoryError,
                           RacecheckError, ReproError, SanitizerError,
@@ -13,8 +13,8 @@ from repro.errors import (CalibrationError, DeviceError, DoubleFreeError,
 class TestHierarchy:
     def test_everything_is_a_repro_error(self):
         for exc in (GraphFormatError, DeviceError, OutOfDeviceMemoryError,
-                    InvalidLaunchError, KernelFault, CalibrationError,
-                    WorkloadError, InvalidFreeError, SanitizerError):
+                    InvalidLaunchError, KernelFault, WorkloadError,
+                    InvalidFreeError, SanitizerError):
             assert issubclass(exc, ReproError), exc
 
     def test_device_sub_hierarchy(self):

@@ -2,42 +2,9 @@
 
 import pytest
 
-from repro.core.hybrid import hybrid_count_triangles
 from repro.core.partitioned import partitioned_count_triangles
 from repro.errors import ReproError
-from repro.graphs.generators import barabasi_albert, star_graph
-
-
-class TestHybrid:
-    def test_exact_on_all_graphs(self, any_graph, oracle):
-        res = hybrid_count_triangles(any_graph, hub_fraction=0.05)
-        assert res.triangles == oracle(any_graph)
-
-    def test_various_hub_fractions(self, small_rmat, oracle):
-        for frac in (0.0, 0.01, 0.1, 0.5, 1.0):
-            res = hybrid_count_triangles(small_rmat, hub_fraction=frac)
-            assert res.triangles == oracle(small_rmat), frac
-
-    def test_decomposition_sums(self, small_ba):
-        res = hybrid_count_triangles(small_ba, hub_fraction=0.1)
-        assert res.triangles == res.hub_triangles + res.nonhub_triangles
-
-    def test_saves_merge_work_on_skewed_graph(self):
-        """Filtering hub entries out of the adjacency lists must reduce
-        the merge steps on a preferential-attachment graph."""
-        g = barabasi_albert(400, 10, seed=5)
-        res = hybrid_count_triangles(g, hub_fraction=0.05)
-        assert res.merge_steps < res.baseline_merge_steps
-        assert res.merge_steps_saved > 0
-
-    def test_all_hubs_means_pure_matmul(self, k12):
-        res = hybrid_count_triangles(k12, hub_fraction=1.0)
-        assert res.hub_triangles == 220
-        assert res.nonhub_triangles == 0
-
-    def test_invalid_fraction(self, k5):
-        with pytest.raises(ReproError):
-            hybrid_count_triangles(k5, hub_fraction=1.5)
+from repro.graphs.generators import star_graph
 
 
 class TestPartitioned:

@@ -166,14 +166,6 @@ class TestFree:
         assert mem.used_bytes == 0
 
 
-class TestAddresses:
-    def test_buffer_addresses(self):
-        mem = _mem()
-        buf = mem.alloc("x", np.zeros(8, np.int32))
-        addrs = buf.addresses(np.array([0, 3]))
-        assert addrs.tolist() == [buf.device_addr, buf.device_addr + 12]
-
-
 class TestTransfers:
     def test_h2d_time_scales_with_bytes(self):
         mem = DeviceMemory(TESLA_C2050)

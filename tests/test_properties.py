@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.count_kernel import count_triangles_kernel
-from repro.core.hybrid import hybrid_count_triangles
 from repro.core.options import GpuOptions
 from repro.core.partitioned import partitioned_count_triangles
 from repro.core.preprocess import forward_mask, preprocess
@@ -132,14 +131,6 @@ def test_removing_an_edge_never_adds_triangles(g, pick):
 def test_partitioned_count_is_exact(g, parts, seed):
     assert (partitioned_count_triangles(g, num_parts=parts, seed=seed)
             .triangles == matmul_count(g).triangles)
-
-
-@settings(max_examples=20, deadline=None)
-@given(graphs(max_nodes=16, max_edges=40),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_hybrid_count_is_exact(g, frac):
-    assert (hybrid_count_triangles(g, hub_fraction=frac).triangles
-            == matmul_count(g).triangles)
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.analyze import LEGACY_RULES, analyze_paths, analyze_source
 from repro.core.forward_gpu import gpu_count_triangles
-from repro.core.hybrid import hybrid_count_triangles
 from repro.core.multi_gpu import multi_gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.core.partitioned import partitioned_count_triangles
@@ -230,20 +229,13 @@ class TestStreamInvariance:
 
 
 def gpu_counter(graph):
-    """The GPU backend of the hybrid and partitioned schemes: one full
-    single-GPU pipeline run per (sub)graph."""
+    """The GPU backend of the partitioned scheme: one full single-GPU
+    pipeline run per subgraph."""
     return gpu_count_triangles(graph, device=GTX_980,
                                options=GpuOptions()).triangles
 
 
 class TestGpuBackends:
-    def test_hybrid_hub_counter_matches_matmul(self, small_rmat):
-        default = hybrid_count_triangles(small_rmat, hub_fraction=0.1)
-        via_gpu = hybrid_count_triangles(small_rmat, hub_fraction=0.1,
-                                         hub_counter=gpu_counter)
-        assert via_gpu.triangles == default.triangles
-        assert via_gpu.hub_triangles == default.hub_triangles
-
     def test_partitioned_gpu_counter(self, small_ba):
         want = forward_count_cpu(small_ba).triangles
         res = partitioned_count_triangles(small_ba, num_parts=2,

@@ -8,7 +8,7 @@ from repro.graphs.generators.rmat import rmat
 from repro.gpusim.device import DEVICES
 from repro.gpusim.memory import DeviceMemory
 from repro.serve.fleet import Fleet
-from repro.serve.queue import (JobQueue, ServeJob, admissible_devices,
+from repro.serve.queue import (JobQueue, ServeJob,
                                estimate_working_set_bytes, fits_device)
 
 
@@ -78,14 +78,6 @@ class TestAdmission:
         dev.cache.insert("hog", int(1.5 * need), triangles=0,
                          hit_service_ms=0.0, now_ms=0.0)
         assert not fits_device(job, dev)
-
-    def test_admissible_devices_skips_dead(self):
-        g = rmat(6, seed=0)
-        fleet = Fleet.homogeneous("gtx980", 2)
-        fleet.inject_failure(0, at_ms=10.0)
-        job = ServeJob(job_id=0, graph=g)
-        assert {d.index for d in admissible_devices(job, fleet, 5.0)} == {0, 1}
-        assert {d.index for d in admissible_devices(job, fleet, 20.0)} == {1}
 
 
 def _job(job_id, **kw):
