@@ -3,7 +3,7 @@
 
 Runs the paper's thread-per-edge two-pointer kernel and a warp-per-edge
 parallel-intersection kernel (the strategy of Green et al. [15]) on the
-same preprocessed graph, then prints both nvprof-style profiles side by
+same graph, each through the one launch lifecycle, then prints both nvprof-style profiles side by
 side — the memory-system numbers show *why* each one is fast or slow,
 which is the whole point of simulating instead of estimating.
 
@@ -18,13 +18,14 @@ Run:  python examples/related_work.py
 """
 
 import repro
-from repro.core.count_kernel import count_triangles_kernel
-from repro.core.preprocess import preprocess
-from repro.core.warp_intersect_kernel import warp_intersect_kernel
-from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.profiler import format_kernel_profile
-from repro.gpusim.simt import LaunchConfig, SimtEngine
-from repro.gpusim.timing import Timeline, time_kernel
+from repro.runtime import LaunchPlan, launch
+
+KERNELS = (
+    ("two_pointer", "CountTriangles (paper, thread-per-edge merge)"),
+    ("warp_intersect", "WarpIntersect (Green-style, warp-per-edge binary "
+                       "search)"),
+)
 
 
 def main() -> None:
@@ -34,26 +35,17 @@ def main() -> None:
     device = repro.GTX_980
     print(f"graph: {graph}  device: {device.name}\n")
 
-    memory = DeviceMemory(device)
-    pre = preprocess(graph, device, memory, Timeline())
+    runs = []
+    for kernel, label in KERNELS:
+        run = launch(LaunchPlan(graph=graph, device=device,
+                                options=repro.GpuOptions(kernel=kernel)))
+        print(format_kernel_profile(run.report, run.timing, name=label))
+        runs.append(run)
 
-    engine_a = SimtEngine(device, LaunchConfig())
-    res_a = count_triangles_kernel(engine_a, pre)
-    timing_a = time_kernel(engine_a.report)
-    print(format_kernel_profile(engine_a.report, timing_a,
-                                name="CountTriangles (paper, "
-                                     "thread-per-edge merge)"))
-
-    engine_b = SimtEngine(device, LaunchConfig())
-    res_b = warp_intersect_kernel(engine_b, pre)
-    timing_b = time_kernel(engine_b.report)
-    print(format_kernel_profile(engine_b.report, timing_b,
-                                name="WarpIntersect (Green-style, "
-                                     "warp-per-edge binary search)"))
-
-    assert res_a.triangles == res_b.triangles
-    ratio = timing_b.kernel_ms / timing_a.kernel_ms
-    print(f"both count {res_a.triangles:,} triangles; "
+    merge, warp = runs
+    assert merge.triangles == warp.triangles
+    ratio = warp.timing.kernel_ms / merge.timing.kernel_ms
+    print(f"both count {merge.triangles:,} triangles; "
           f"warp-intersect / two-pointer time = {ratio:.2f}")
     print("note the transactions-per-request rows above: that asymmetry "
           "is the entire story.")

@@ -18,7 +18,6 @@ Run:  python examples/social_network.py
 import numpy as np
 
 import repro
-from repro.graphs import stats
 
 
 def gpu_counter(graph):

@@ -22,7 +22,6 @@ from typing import IO
 from repro.analyze import analyze_paths, check_ids
 from repro.analyze import baseline as baseline_mod
 from repro.analyze.emit import emit_json, emit_sarif, emit_text
-from repro.analyze.findings import Finding
 from repro.analyze.registry import rule_catalog
 from repro.errors import AnalysisError
 

@@ -1,12 +1,10 @@
-"""Plugin check registry — the analyzer's analogue of the KernelSpec
-registry (:mod:`repro.runtime.spec`).
+"""Plugin check registry.
 
 A check, to the driver, is: a SAN rule id, a one-line summary, a
 severity, the package parts it is exempt in, and a ``run`` callable
 over a :class:`~repro.analyze.context.ModuleContext`.  Registering two
 checks under one id is a typed error
-(:class:`~repro.errors.CheckRegistrationError`), mirroring the kernel
-registry's duplicate-name contract.
+(:class:`~repro.errors.CheckRegistrationError`).
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Three comparison points from the paper's Section V, regenerated as far
 as the substitution honestly allows:
 
 * **Green et al. [15]** (warp-parallel intersections): we implement the
-  core strategy as a kernel (:mod:`repro.core.warp_intersect_kernel`)
-  and compare full pipelines.  The comparator's real system also paid
-  binning/multi-launch overheads, charged here as an extra
-  classification pass, a length-class sort and per-class launches.
+  core strategy as the ``warp_intersect`` kernel
+  (:mod:`repro.core.intersect.warp`) and compare full pipelines.  The
+  comparator's real system also paid binning/multi-launch overheads,
+  charged here as an extra classification pass, a length-class sort
+  and per-class launches.
   NOTE the honest finding recorded in EXPERIMENTS.md: the *idealized*
   strategy is faster than the paper's kernel in our simulator — the
   warp-per-edge layout coalesces where thread-per-edge scatters — so
@@ -38,7 +39,7 @@ from repro.gpusim import thrustlike
 from repro.gpusim.device import DeviceSpec, GTX_980
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.timing import LAUNCH_OVERHEAD_MS, Timeline, time_kernel
-from repro.runtime import build_engine, dispatch_kernel, get_kernel
+from repro.runtime import build_engine, dispatch_kernel
 
 #: Length classes the comparator bins edges into (one launch each).
 GREEN_BIN_CLASSES = 8
@@ -53,7 +54,6 @@ class GreenComparison:
     green_total_ms: float
     polak_kernel_ms: float
     green_kernel_ms: float
-    green_search_probes: int
 
     @property
     def pipeline_ratio(self) -> float:
@@ -80,7 +80,7 @@ def compare_with_green(graph: EdgeArray,
     tl_polak = Timeline()
     pre = preprocess(graph, device, mem, tl_polak)
     engine = build_engine(device, opts)
-    res_polak = dispatch_kernel(get_kernel("merge"), engine, pre, opts)
+    res_polak = dispatch_kernel(engine, pre, opts)
     t_polak = time_kernel(engine.report)
     tl_polak.add("CountTriangles", t_polak.kernel_ms, phase="count")
     mem.free_all()
@@ -100,9 +100,9 @@ def compare_with_green(graph: EdgeArray,
                                       2.0 * np.log2(max(GREEN_BIN_CLASSES, 2))))
     tl_green.add("per-bin launches",
                  GREEN_BIN_CLASSES * LAUNCH_OVERHEAD_MS)
-    engine_g = build_engine(device, opts)
-    res_green = dispatch_kernel(get_kernel("warp_intersect"), engine_g,
-                                pre, opts)
+    green_opts = opts.but(kernel="warp_intersect")
+    engine_g = build_engine(device, green_opts)
+    res_green = dispatch_kernel(engine_g, pre, green_opts)
     t_green = time_kernel(engine_g.report)
     tl_green.add("WarpIntersect", t_green.kernel_ms, phase="count")
     mem.free_all()
@@ -114,8 +114,7 @@ def compare_with_green(graph: EdgeArray,
         polak_total_ms=tl_polak.total_ms,
         green_total_ms=tl_green.total_ms,
         polak_kernel_ms=t_polak.kernel_ms,
-        green_kernel_ms=t_green.kernel_ms,
-        green_search_probes=res_green.search_probes)
+        green_kernel_ms=t_green.kernel_ms)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def compare_with_leist(graph: EdgeArray,
     tl = Timeline()
     pre = preprocess(graph, device, mem, tl)
     engine = build_engine(device, opts)
-    dispatch_kernel(get_kernel("merge"), engine, pre, opts)
+    dispatch_kernel(engine, pre, opts)
     t_forward = time_kernel(engine.report)
     mem.free_all()
 

@@ -3,15 +3,16 @@
 * :mod:`~repro.core.options` — every Section III-D optimization as a toggle;
 * :mod:`~repro.core.preprocess` — the 8-step preprocessing phase (III-B),
   with the CPU fallback for memory-pressured graphs (III-D6);
-* :mod:`~repro.core.count_kernel` — the ``CountTriangles`` kernel as a
-  warp-lockstep SIMT kernel, both loop variants (III-C, III-D3);
+* :mod:`~repro.core.count_kernel` — the one SIMT kernel driver: the
+  ``CountTriangles`` kernel (III-C) with both loop variants (III-D3),
+  and every other :mod:`~repro.core.intersect` strategy, thread-per-arc
+  or, for the Section V comparator, warp-per-arc;
 * :mod:`~repro.core.forward_gpu` — the single-GPU end-to-end pipeline
   with the paper's measurement protocol;
 * :mod:`~repro.core.multi_gpu` — the Section III-E multi-GPU extension;
 * :mod:`~repro.core.partitioned` / :mod:`~repro.core.distributed` — the
   Section VI future-work splitting direction, implemented (the second
   combines splitting with multi-GPU);
-* :mod:`~repro.core.warp_intersect_kernel` — the Section V comparator;
 * :mod:`~repro.core.clustering` — clustering coefficient / transitivity
   on top of the counters (the motivating application).
 """

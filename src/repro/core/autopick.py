@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.intersect import strategy_names
 from repro.core.options import GpuOptions
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
@@ -170,13 +171,11 @@ def load_calibration(path: str | Path | None = None) -> KernelZooCalibration:
 def allowed_kernels(options: GpuOptions) -> frozenset[str]:
     """The ``GpuOptions.kernel`` values this launch could legally run.
 
-    Everything the registry offers, minus ``warp_intersect`` when the
-    layout is AoS (it requires SoA columns) — mirroring the eager
-    validation in :class:`~repro.core.options.GpuOptions`.
+    Every strategy, minus ``warp_intersect`` when the layout is AoS (it
+    requires SoA columns) — mirroring the eager validation in
+    :class:`~repro.core.options.GpuOptions`.
     """
-    import repro.runtime.spec as _spec
-
-    fields = set(_spec.kernel_option_fields())
+    fields = set(strategy_names())
     if not options.unzip:
         fields.discard("warp_intersect")
     return frozenset(fields)

@@ -3,14 +3,16 @@
 Execution is warp-synchronous, mirroring the hardware semantics of the
 paper's CUDA listing:
 
-* each lane owns the arcs ``i ≡ lane (mod total_threads)`` (the
-  grid-stride loop);
+* each arc runs on ``L`` lanes: one for the thread-per-arc strategies
+  (merge / binary_search / hash), the whole warp for a ``warp_per_arc``
+  one (warp_intersect).  Arc slot ``lane // L`` owns the arcs
+  ``i ≡ slot (mod total_threads / L)`` (the grid-stride loop);
 * one *setup* block per arc loads the arc's endpoints and four
-  node-array entries, then hands the lane to the launch's
-  :class:`~repro.core.intersect.IntersectionStrategy` — the pluggable
-  set-intersection algorithm (merge / binary_search / hash) that owns
-  the per-lane registers and the initial loads (for the paper's merge,
-  the kernel's unconditional ``int a = edge[u_it], b = edge[v_it];``);
+  node-array entries on the slot's leader lane, then hands the arc to
+  the launch's :class:`~repro.core.intersect.IntersectionStrategy` —
+  the pluggable set-intersection algorithm that owns the per-lane
+  registers and the initial loads (for the paper's merge, the kernel's
+  unconditional ``int a = edge[u_it], b = edge[v_it];``);
 * then *intersection steps* run until **every** lane of the warp has
   exhausted its work — lanes that finish early sit masked-out (that is
   the divergence the Section III-D5 warp-size trick reduces);
@@ -19,8 +21,9 @@ paper's CUDA listing:
   advanced, ``preliminary`` reads both list heads every iteration.
 
 This module is the **driver**: it owns the grid-stride cursor, warp
-phase machine, divergence masking and all step accounting, while the
-strategy owns what one step does.  All adjacency walks read through the
+phase machine, divergence masking and the step accounting (a
+``warp_per_arc`` strategy closes the blocks of its own steps), while
+the strategy owns what one step does.  All adjacency walks read through the
 engine's cache hierarchy; the merge strategy here is the entire source
 of the Table II counters.
 
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.intersect import check_per_vertex, strategy_for_options
+from repro.core.intersect import check_per_vertex, get_strategy
 from repro.core.options import GpuOptions
 from repro.core.preprocess import PreprocessResult
 from repro.errors import ReproError
@@ -104,8 +107,8 @@ def count_triangles_kernel(engine: SimtEngine,
                            ) -> CountKernelResult:
     """Execute ``CountTriangles`` over arcs ``[lo, hi)`` on ``engine``.
 
-    The intersection algorithm is selected by ``options.kernel``
-    (``two_pointer`` → merge, ``binary_search``, ``hash``).
+    The intersection strategy is the one keyed by ``options.kernel``
+    (``two_pointer``, ``binary_search``, ``hash``, ``warp_intersect``).
 
     ``result_buf``, when given, receives the per-thread counts through a
     modelled device write (length must be ``engine.num_threads``).
@@ -124,7 +127,7 @@ def count_triangles_kernel(engine: SimtEngine,
     if not (0 <= lo <= hi <= m):
         raise ReproError(f"arc range [{lo}, {hi}) outside [0, {m})")
 
-    strategy = strategy_for_options(options)
+    strategy = get_strategy(options.kernel)
     track_corners = check_per_vertex(strategy, per_vertex_buf)
     ctx = strategy.prepare(engine, pre, options, memory)
 
@@ -141,10 +144,15 @@ def count_triangles_kernel(engine: SimtEngine,
     ws_shift = ws.bit_length() - 1    # warp sizes divide 32: always pow2
     W = engine.num_warps
     read = engine.read_compacted
+    warp_per_arc = strategy.warp_per_arc
+    L = ws if warp_per_arc else 1       # lanes per arc
+    slots_per_warp = ws // L
+    num_slots = T // L
 
-    # Worklist of live warps.  A lane's arc cursor is derived, never
-    # stored: ``cur = lo + lane + rounds[warp] * T`` (the grid-stride
-    # loop), so reconvergence is a counter bump, not a register sweep.
+    # Worklist of live warps.  An arc slot's cursor is derived, never
+    # stored: ``cur = lo + lane // L + rounds[warp] * (T // L)`` (the
+    # grid-stride loop), so reconvergence is a counter bump, not a
+    # register sweep.
     phase = np.full(W, _LOAD, np.int8)
     rounds = np.zeros(W, np.int64)
     remaining = np.zeros(W, np.int64)   # pool lanes per warp
@@ -169,7 +177,7 @@ def count_triangles_kernel(engine: SimtEngine,
     mw_cache: list = [None, None]
 
     count_full = np.zeros(T, np.uint64)
-    lane_off = np.arange(ws, dtype=np.int64)
+    slot_off = np.arange(slots_per_warp, dtype=np.int64)
     ticks = 0
 
     def _setup_tick() -> int:
@@ -178,12 +186,14 @@ def count_triangles_kernel(engine: SimtEngine,
         size."""
         nonlocal alive, n
         load_w = np.flatnonzero(phase == _LOAD)
-        lanes2d = load_w[:, None] * ws + lane_off[None, :]
-        cur2d = lo + lanes2d + (rounds[load_w] * T)[:, None]
+        slots2d = load_w[:, None] * slots_per_warp + slot_off[None, :]
+        cur2d = lo + slots2d + (rounds[load_w] * num_slots)[:, None]
         has = cur2d < hi
         had = has.any(axis=1)
         if had.any():
-            lanes = lanes2d[has]
+            lanes = slots2d[has]
+            if warp_per_arc:
+                lanes = lanes * L      # the slot's leader lane
             e = cur2d[has]
             if unzipped:
                 u = read(adj, e, lanes)           # edge[i]
@@ -210,6 +220,9 @@ def count_triangles_kernel(engine: SimtEngine,
             nu, nu1, nv, nv1 = (nvals[:k], nvals[k:2 * k],
                                 nvals[2 * k:3 * k], nvals[3 * k:])
             cols, mact = strategy.begin(ctx, lanes, u, v, nu, nu1, nv, nv1)
+            if warp_per_arc:
+                # ``begin`` spread each arc over its leader's warp.
+                lanes = (lanes[:, None] + np.arange(L)).ravel()
             engine.end_step_warps("setup", load_w[had],
                                   has.sum(axis=1)[had],
                                   strategy.setup_instructions)
@@ -264,13 +277,14 @@ def count_triangles_kernel(engine: SimtEngine,
         else:
             on_match = None
         still = strategy.step(ctx, regs, lanes, p_cnt[:n], on_match)
-        mw = mw_cache[0]
-        if mw is None:
-            mw = np.flatnonzero(remaining)
-            mw_cache[0] = mw
-            mw_cache[1] = remaining[mw]
-        engine.end_step_warps(strategy.step_kind, mw, mw_cache[1],
-                              strategy.step_instructions)
+        if not warp_per_arc:
+            mw = mw_cache[0]
+            if mw is None:
+                mw = np.flatnonzero(remaining)
+                mw_cache[0] = mw
+                mw_cache[1] = remaining[mw]
+            engine.end_step_warps(strategy.step_kind, mw, mw_cache[1],
+                                  strategy.step_instructions)
         new_n = int(np.count_nonzero(still))
         if new_n == n:
             return

@@ -19,7 +19,7 @@ from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.simt import KernelReport
 from repro.gpusim.timing import (KernelTiming, Timeline,
                                  achieved_bandwidth_gbs)
-from repro.runtime import LaunchPlan, launch, spec_for_options
+from repro.runtime import LaunchPlan, launch
 from repro.types import TriangleCount
 
 
@@ -108,9 +108,8 @@ def gpu_count_triangles(graph: EdgeArray,
         modeled ``pipelined_ms``).
     """
     options = resolve_options(graph, options)
-    run = launch(LaunchPlan(kernel=spec_for_options(options), graph=graph,
-                            device=device, options=options, memory=memory,
-                            pipeline_chunks=pipeline_chunks))
+    run = launch(LaunchPlan(graph=graph, device=device, options=options,
+                            memory=memory, pipeline_chunks=pipeline_chunks))
     return GpuRunResult(triangles=run.triangles, device=device,
                         options=run.options, timeline=run.timeline,
                         kernel_report=run.report, kernel_timing=run.timing,

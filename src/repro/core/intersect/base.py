@@ -1,12 +1,12 @@
 """The IntersectionStrategy contract and its per-launch context.
 
-The per-edge work of every thread-per-edge counting kernel factors into
-two pieces:
+The per-arc work of every counting kernel factors into two pieces:
 
 * a **driver** (:mod:`repro.core.count_kernel`) that owns the
-  grid-stride arc cursor, the warp phase machine, divergence masking,
-  retirement/reconvergence, and — crucially — **all step accounting**
-  (``end_step_warps`` closes every tick the driver runs);
+  grid-stride arc cursor, the lanes-per-arc mapping, the warp phase
+  machine, divergence masking, retirement/reconvergence, and the step
+  accounting (``end_step_warps`` closes every tick the driver runs;
+  a ``warp_per_arc`` strategy closes its own step blocks);
 * a **strategy** that owns the set-intersection itself: which per-lane
   registers exist, what the initial loads are, and what one SIMT step
   of the intersection does to them.
@@ -92,11 +92,11 @@ class StrategyContext:
 
     def account(self, kind: str, lanes: np.ndarray,
                 instructions: int) -> None:
-        """Close a strategy-issued tick (build passes, not step loops).
+        """Close a strategy-issued tick.
 
-        Driver ticks are closed by the driver; a strategy only calls
-        this for work it runs *outside* the driver loop — the hash
-        build pass — where it must do its own warp accounting.
+        Thread-per-arc steps are closed by the driver; a strategy calls
+        this for work it runs *outside* the driver loop (the hash build
+        pass) and for the blocks of a ``warp_per_arc`` step.
         """
         counts = np.bincount(np.asarray(lanes) >> self._ws_shift,
                              minlength=self._num_warps)
@@ -119,8 +119,10 @@ class IntersectionStrategy:
     ``step`` once per merge-loop tick, ``finish`` at teardown.
     """
 
-    #: registry key (also the ``GpuOptions.kernel`` value).
+    #: the ``GpuOptions.kernel`` value that selects this strategy.
     name: str = ""
+    #: timeline event label of a launch.
+    display_name: str = ""
     #: warp-step kind recorded for each intersection step
     #: (the ``KernelReport.warp_steps`` key).
     step_kind: str = ""
@@ -133,6 +135,12 @@ class IntersectionStrategy:
     #: whether the strategy can report matched corners for the
     #: local-triangle (per-vertex) extension.
     supports_per_vertex: bool = False
+    #: lanes per arc: one (False) or the whole warp (True).  A
+    #: warp-per-arc ``begin`` gets the arcs' leader lanes and returns
+    #: ``warp_size`` register entries per arc (lane ``leader + j`` owns
+    #: entry ``j``), and its ``step`` closes its own blocks through
+    #: :meth:`StrategyContext.account`.
+    warp_per_arc: bool = False
 
     def prepare(self, engine: SimtEngine, pre: PreprocessResult,
                 options: GpuOptions,
@@ -149,7 +157,8 @@ class IntersectionStrategy:
 
         ``nu:nu1`` and ``nv:nv1`` bound the two adjacency lists.
         Returns ``(columns, active)``: one length-``k`` vector per
-        register name, and the lanes whose intersection has work to do.
+        register name (``k * warp_size`` for a ``warp_per_arc``
+        strategy), and the lanes whose intersection has work to do.
         """
         raise NotImplementedError
 

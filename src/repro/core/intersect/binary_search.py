@@ -21,9 +21,9 @@ standard sorted-probe refinement and cuts deep re-searches of the same
 prefix.
 
 :func:`lower_bound_round` is the one-round kernel shared with the
-warp-per-edge comparator (:mod:`repro.core.warp_intersect_kernel`),
-which keeps the two binary searches in this codebase literally the
-same code.
+warp-per-arc comparator (:mod:`repro.core.intersect.warp`), which
+keeps the two binary searches in this codebase literally the same
+code.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class BinarySearchStrategy(IntersectionStrategy):
     """Probe the shorter list's elements into the longer list."""
 
     name = "binary_search"
+    display_name = "BinarySearchIntersect"
     step_kind = "search"
     registers = ("s_it", "s_end", "lo", "hi", "target", "l_hi")
     setup_instructions = SETUP_INSTRUCTIONS

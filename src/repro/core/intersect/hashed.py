@@ -69,6 +69,7 @@ class HashStrategy(IntersectionStrategy):
     """Bucketed hash probes of the longer list, built per launch."""
 
     name = "hash"
+    display_name = "HashIntersect"
     step_kind = "probe"
     registers = ("s_it", "s_end", "target", "vb", "nbmask",
                  "e_it", "e_end")

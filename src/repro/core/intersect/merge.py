@@ -33,7 +33,8 @@ from repro.gpusim.timing import MERGE_INSTRUCTIONS, SETUP_INSTRUCTIONS
 class MergeStrategy(IntersectionStrategy):
     """Two-pointer merge: ``O(|A| + |B|)`` streaming reads per edge."""
 
-    name = "merge"
+    name = "two_pointer"
+    display_name = "CountTriangles"
     step_kind = "merge"
     registers = ("u_it", "u_end", "v_it", "v_end", "a", "b")
     setup_instructions = SETUP_INSTRUCTIONS

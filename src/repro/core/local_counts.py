@@ -45,12 +45,12 @@ def gpu_local_counts(graph: EdgeArray,
 
     Same pipeline as :func:`repro.core.forward_gpu.gpu_count_triangles`
     plus a ``num_nodes``-long accumulator the kernel atomically updates
-    on every match — the ``"local"`` :class:`~repro.runtime.KernelSpec`
-    (the merge kernel regardless of ``options.kernel``; the
-    warp-intersect comparator has no ``atomicAdd`` path).
+    on every match — a ``per_vertex`` :class:`~repro.runtime.LaunchPlan`.
+    Only the merge strategy (``options.kernel="two_pointer"``) has the
+    ``atomicAdd`` path; any other kernel is a typed error.
     """
-    run = launch(LaunchPlan(kernel="local", graph=graph, device=device,
-                            options=options, memory=memory))
+    run = launch(LaunchPlan(graph=graph, device=device, options=options,
+                            memory=memory, per_vertex=True))
     total = run.triangles
     local = run.per_vertex
     assert local is not None

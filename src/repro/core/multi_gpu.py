@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.forward_gpu import GpuRunResult
+from repro.core.intersect import get_strategy
 from repro.core.options import GpuOptions
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.errors import ContextMismatchError, ReproError
@@ -22,7 +23,7 @@ from repro.gpusim import thrustlike
 from repro.gpusim.device import DeviceSpec, TESLA_C2050
 from repro.gpusim.multigpu import MultiGpuContext
 from repro.gpusim.timing import Timeline
-from repro.runtime import LaunchPlan, launch, spec_for_options
+from repro.runtime import LaunchPlan, launch
 from repro.types import COUNT_DTYPE
 
 #: Valid multi-GPU exchange schedules (see :mod:`repro.gpusim.multigpu`).
@@ -97,7 +98,7 @@ def multi_gpu_count_triangles(graph: EdgeArray,
     timeline.barrier()   # kernels wait for their card's copies
 
     ranges = context.partition_ranges(pre.num_forward_arcs)
-    spec = spec_for_options(options)
+    strategy = get_strategy(options.kernel)
     triangles = 0
     per_device = []
     count_ms = 0.0
@@ -112,7 +113,7 @@ def multi_gpu_count_triangles(graph: EdgeArray,
         # A slice launch (it gets preprocessed structures): this driver
         # owns the aggregated timeline events (max-over-devices count,
         # overlapped reduces) and the context owns teardown.
-        run = launch(LaunchPlan(kernel=spec, device=device, options=options,
+        run = launch(LaunchPlan(device=device, options=options,
                                 memory=context.memories[d],
                                 preprocessed=pre_d, lo=lo, hi=hi,
                                 result_name=f"result@dev{d}"))
@@ -125,7 +126,7 @@ def multi_gpu_count_triangles(graph: EdgeArray,
     # Devices count concurrently: the phase costs the slowest kernel,
     # then each device reduces its own result array (overlapped too) and
     # ships 8 bytes back.
-    timeline.add(f"{spec.display_name} × {num_gpus} (max over devices)",
+    timeline.add(f"{strategy.display_name} × {num_gpus} (max over devices)",
                  count_ms, phase="count")
     result_bytes = per_device[0][0].launch.total_threads(device) * \
         np.dtype(COUNT_DTYPE).itemsize

@@ -19,31 +19,10 @@ MERGE_VARIANTS = ("final", "preliminary")
 #: Valid values for :attr:`GpuOptions.sanitize`.
 SANITIZE_MODES = ("off", "report", "strict")
 
-_KERNEL_CHOICES_CACHE: tuple[str, ...] | None = None
-
-
-def _kernel_choices() -> tuple[str, ...]:
-    """Valid :attr:`GpuOptions.kernel` values, from the kernel registry.
-
-    The runtime registry is the single source of truth for kernel
-    names: every registered spec's ``option_field`` is a valid choice,
-    plus ``"auto"`` (resolved per graph by ``repro.core.autopick``).
-    Imported lazily — the registry lives above this module in the
-    layering — and cached after the first successful lookup.
-    """
-    global _KERNEL_CHOICES_CACHE
-    if _KERNEL_CHOICES_CACHE is None:
-        import repro.runtime.spec as _spec
-        _KERNEL_CHOICES_CACHE = _spec.kernel_option_fields() + ("auto",)
-    return _KERNEL_CHOICES_CACHE
-
-
-def __getattr__(name: str) -> tuple[str, ...]:
-    # Module attribute ``KERNELS`` stays importable (docs, tests, CLI
-    # help) but is computed from the registry, not hard-coded here.
-    if name == "KERNELS":
-        return _kernel_choices()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: Valid values for :attr:`GpuOptions.kernel`: one per intersection
+#: strategy (:mod:`repro.core.intersect` keys its table by these), plus
+#: ``"auto"``, resolved per graph by :mod:`repro.core.autopick`.
+KERNELS = ("binary_search", "hash", "two_pointer", "warp_intersect", "auto")
 
 
 @dataclass(frozen=True)
@@ -75,15 +54,14 @@ class GpuOptions:
         the device reports out-of-memory (the ``†`` rows), ``"never"``
         raises instead, ``"always"`` forces the fallback path.
     kernel : str
-        Counting-kernel strategy, validated against the runtime kernel
-        registry (the single source of truth): ``"two_pointer"`` is the
+        Counting kernel, one of :data:`KERNELS`: ``"two_pointer"`` is the
         paper's thread-per-edge merge; ``"binary_search"`` log-probes
         the longer adjacency list; ``"hash"`` probes TRUST-style
         per-vertex bucket tables; ``"warp_intersect"`` is the Section V
         comparator's warp-per-edge parallel intersection (requires the
         SoA layout); ``"auto"`` lets ``repro.core.autopick`` choose per
         graph from the committed kernelzoo calibration.  The
-        ``merge_variant`` knob applies to the merge kernels only.
+        ``merge_variant`` knob applies to ``two_pointer`` only.
     sanitize : str
         Dynamic sanitizer layer (``repro.sanitize``): ``"off"``
         (default — zero overhead, a single ``None`` check per engine
@@ -115,9 +93,9 @@ class GpuOptions:
             raise ReproError(
                 f"cpu_preprocess must be one of {CPU_PREPROCESS_MODES}, "
                 f"got {self.cpu_preprocess!r}")
-        if self.kernel not in _kernel_choices():
+        if self.kernel not in KERNELS:
             raise ReproError(
-                f"kernel must be one of {_kernel_choices()}, "
+                f"kernel must be one of {KERNELS}, "
                 f"got {self.kernel!r}")
         if self.sanitize not in SANITIZE_MODES:
             raise ReproError(

@@ -1,8 +1,9 @@
 """repro.runtime — the unified kernel runtime.
 
-One launch protocol for every counting kernel: kernels are registered
-as :class:`KernelSpec`\\ s (name, host body, buffer facts) and
-every pipeline goes through :func:`launch`, which owns device
+One launch protocol for every counting kernel: the kernel is the
+:mod:`repro.core.intersect` strategy named by ``GpuOptions.kernel``,
+run on the one driver (:mod:`repro.core.count_kernel`), and every
+pipeline goes through :func:`launch`, which owns device
 allocation, H2D/D2H transfer events on the stream schedule of a
 :class:`~repro.gpusim.timing.Timeline` (serial, or with the ``†`` pass
 double-buffered via ``LaunchPlan.pipeline_chunks``), engine
@@ -18,15 +19,8 @@ Layering (see docs/architecture.md)::
 
 from repro.runtime.launch import (D2H_STREAM, KernelLaunch, LaunchPlan,
                                   build_engine, dispatch_kernel, launch)
-from repro.runtime.spec import (BINARY_SEARCH, HASH, LOCAL, MERGE,
-                                WARP_INTERSECT, KernelSpec, get_kernel,
-                                kernel_names, kernel_option_fields, register,
-                                resolve_kernel, spec_for_options)
 
 __all__ = [
-    "KernelSpec", "register", "get_kernel", "kernel_names",
-    "resolve_kernel", "spec_for_options", "kernel_option_fields",
-    "MERGE", "WARP_INTERSECT", "BINARY_SEARCH", "HASH", "LOCAL",
     "LaunchPlan", "KernelLaunch", "launch", "dispatch_kernel",
     "build_engine", "D2H_STREAM",
 ]

@@ -15,12 +15,13 @@ historical pipelines (device addresses feed the cache model, so even
    outside ``gpusim`` — enforced by repro-analyze SAN104);
 4. allocate the per-thread result buffer (before preprocessing, so the
    Section III-D6 fallback logic sees the full footprint), then the
-   per-vertex accumulator for ``per_vertex`` specs;
+   per-vertex accumulator for ``per_vertex`` plans;
 5. run preprocessing (H2D copy events land on the stream timeline)
    unless the plan supplies device-resident structures — optionally as
    the chunked, double-buffered ``†`` schedule (``pipeline_chunks``);
-6. dispatch the kernel body, time it with the roofline model, and
-   record the kernel event;
+6. dispatch the counting kernel (the ``GpuOptions.kernel`` strategy on
+   the one driver), time it with the roofline model, and record the
+   kernel event under the strategy's ``display_name``;
 7. device-reduce the result buffer, cross-check against the kernel's
    own count, and record the D2H readback event(s);
 8. free device memory and detach the sanitizer (always, via finally).
@@ -36,10 +37,12 @@ are skipped for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.count_kernel import CountKernelResult, count_triangles_kernel
+from repro.core.intersect import get_strategy
 from repro.core.options import GpuOptions
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.errors import ReproError
@@ -50,7 +53,6 @@ from repro.gpusim.memory import DeviceBuffer, DeviceMemory
 from repro.gpusim.simt import KernelReport, SimtEngine
 from repro.gpusim.timing import (DEFAULT_STREAM, KernelTiming, Timeline,
                                  time_kernel)
-from repro.runtime.spec import KernelResult, KernelSpec, resolve_kernel
 from repro.types import COUNT_DTYPE
 
 if TYPE_CHECKING:
@@ -75,38 +77,42 @@ def build_engine(device: DeviceSpec, options: GpuOptions,
                       sanitizer=sanitizer)
 
 
-def dispatch_kernel(kernel: KernelSpec | str, engine: SimtEngine,
-                    pre: PreprocessResult,
+def dispatch_kernel(engine: SimtEngine, pre: PreprocessResult,
                     options: GpuOptions = GpuOptions(), *,
                     lo: int = 0, hi: int | None = None,
                     result_buf: DeviceBuffer | None = None,
                     per_vertex_buf: DeviceBuffer | None = None,
-                    memory: DeviceMemory | None = None) -> KernelResult:
-    """Run one kernel body on an already-built engine (the inner step of
-    :func:`launch`).
+                    memory: DeviceMemory | None = None) -> CountKernelResult:
+    """Run the ``options.kernel`` counting kernel on an already-built
+    engine (the inner step of :func:`launch`).
 
-    ``memory`` is the launch's allocator, forwarded to bodies whose
-    strategy builds device-resident tables (the ``hash`` kernel); those
-    bodies raise a typed error without it.
+    ``memory`` is the launch's allocator, forwarded to strategies that
+    build device-resident tables (the ``hash`` kernel); those raise a
+    typed error without it.
     """
-    spec = resolve_kernel(kernel)
-    return spec.body(engine, pre, options, lo=lo, hi=hi,
-                     result_buf=result_buf, per_vertex_buf=per_vertex_buf,
-                     memory=memory)
+    return count_triangles_kernel(engine, pre, options, lo=lo, hi=hi,
+                                  result_buf=result_buf,
+                                  per_vertex_buf=per_vertex_buf,
+                                  memory=memory)
 
 
 @dataclass
 class LaunchPlan:
     """Declarative request for one kernel launch.
 
-    The defaults describe the full single-GPU pipeline.  Passing
-    ``preprocessed`` makes it a slice launch (see the module docstring).
+    The defaults describe the full single-GPU pipeline; the counting
+    kernel is ``options.kernel``.  Passing ``preprocessed`` makes it a
+    slice launch (see the module docstring).
     """
 
-    kernel: KernelSpec | str
     graph: EdgeArray | None = None
     device: DeviceSpec = GTX_980
     options: GpuOptions = field(default_factory=GpuOptions)
+    #: Accumulate per-vertex corner counts (one ``atomicAdd`` per
+    #: triangle corner, the local-triangle extension): allocates the
+    #: ``num_nodes``-long accumulator before preprocessing and reads it
+    #: back after the reduce.  Only the merge strategy supports it.
+    per_vertex: bool = False
     #: Pre-built device memory (bench passes a capacity-scaled one).
     memory: DeviceMemory | None = None
     #: Timeline to append to; a fresh :class:`Timeline` if None.
@@ -130,16 +136,15 @@ class LaunchPlan:
 class KernelLaunch:
     """Everything one launch produced."""
 
-    spec: KernelSpec
     device: DeviceSpec
     options: GpuOptions
     engine: SimtEngine
     pre: PreprocessResult
-    result: Any                     # the body's result object
+    result: CountKernelResult
     timing: KernelTiming
     timeline: Timeline
     triangles: int                  # device-reduced total
-    per_vertex: np.ndarray | None   # host copy, ``per_vertex`` specs only
+    per_vertex: np.ndarray | None   # host copy, ``per_vertex`` plans only
     sanitizer: "Sanitizer | None"
 
     @property
@@ -154,8 +159,8 @@ class KernelLaunch:
 def launch(plan: LaunchPlan) -> KernelLaunch:
     """Execute one kernel launch end to end (see module docstring for
     the lifecycle and its ordering constraints)."""
-    spec = resolve_kernel(plan.kernel)
     options = plan.options
+    strategy = get_strategy(options.kernel)
     device = plan.device
     memory = plan.memory if plan.memory is not None else DeviceMemory(device)
     if memory.spec.name != device.name:
@@ -179,9 +184,6 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
                 "pass; options.cpu_preprocess must be 'auto' or 'always', "
                 "not 'never'")
         options = options.but(cpu_preprocess="always")
-    if spec.requires_soa and whole and not options.unzip:
-        raise ReproError(f"kernel {spec.name!r} requires the SoA layout "
-                         "(GpuOptions.unzip=True)")
     timeline = plan.timeline if plan.timeline is not None else Timeline()
 
     sanitizer: "Sanitizer | None" = None
@@ -202,7 +204,7 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
                                         COUNT_DTYPE)
         per_vertex_buf = None
         num_vertices = 0
-        if spec.per_vertex:
+        if plan.per_vertex:
             if plan.graph is not None:
                 num_vertices = plan.graph.num_nodes
             else:
@@ -214,14 +216,16 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
             pre = preprocess(plan.graph, device, memory, timeline, options,
                              chunks=chunks)
 
-        kres = dispatch_kernel(spec, engine, pre, options,
+        kres = dispatch_kernel(engine, pre, options,
                                lo=plan.lo, hi=plan.hi,
                                result_buf=result_buf,
                                per_vertex_buf=per_vertex_buf,
                                memory=memory)
         timing = time_kernel(engine.report)
         if whole:
-            timeline.add(spec.display_name, timing.kernel_ms, phase="count")
+            label = strategy.display_name + ("+local" if plan.per_vertex
+                                             else "")
+            timeline.add(label, timing.kernel_ms, phase="count")
 
         total = thrustlike.reduce_sum(device, result_buf,
                                       timeline if whole else None,
@@ -257,7 +261,7 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
         if sanitizer is not None:
             memory.sanitizer = None
 
-    return KernelLaunch(spec=spec, device=device, options=options,
+    return KernelLaunch(device=device, options=options,
                         engine=engine, pre=pre, result=kres, timing=timing,
                         timeline=timeline, triangles=total,
                         per_vertex=per_vertex_host, sanitizer=sanitizer)

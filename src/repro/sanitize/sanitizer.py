@@ -46,12 +46,12 @@ bit-identical counters with sanitize on or off — enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import (InitcheckError, KernelFault, MemcheckError,
-                          RacecheckError, ReproError, SanitizerError)
+                          RacecheckError, ReproError)
 from repro.gpusim.memory import DeviceBuffer
 
 #: Valid sanitize modes of :class:`GpuOptions.sanitize` ("off" disables

@@ -5,7 +5,6 @@ and a clean negative)."""
 
 import ast
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given

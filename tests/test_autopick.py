@@ -167,9 +167,10 @@ class TestPipelineIntegration:
                 == runs[1].kernel_report.counters())
 
     def test_launch_rejects_unresolved_auto(self, small_rmat):
-        from repro.runtime import spec_for_options
+        from repro.runtime import LaunchPlan, launch
         with pytest.raises(ReproError, match="resolved against a graph"):
-            spec_for_options(GpuOptions(kernel="auto"))
+            launch(LaunchPlan(graph=small_rmat,
+                              options=GpuOptions(kernel="auto")))
 
     def test_committed_calibration_is_current_format(self):
         doc = json.loads(COMMITTED.read_text())

@@ -1,14 +1,13 @@
 """Unit tests for the benchmark harness (runner, tables, figures,
 calibration, experiments, CLI) on tiny workload scales."""
 
-import numpy as np
 import pytest
 
 from repro.bench import calibration, figures, tables
 from repro.bench.experiments import (AblationResult, amdahl_experiment,
                                      baseline_experiment, grid_search,
                                      input_format_experiment)
-from repro.bench.runner import RowResult, run_workload, scaled_device
+from repro.bench.runner import run_workload, scaled_device
 from repro.errors import ReproError
 from repro.graphs.datasets import get
 from repro.gpusim.device import GTX_980, TESLA_C2050
@@ -61,8 +60,6 @@ class TestRunner:
         w = get("ba")
         g = get("ws").build(scale=1 / 16, seed=0)  # bigger than ba's paper? no
         # construct an impossible ratio by lying about the workload
-        from repro.graphs.edgearray import EdgeArray
-        import numpy as np
         big = get("kron16")
         huge = get("ws").build(scale=1 / 8, seed=0)
         if huge.num_arcs > big.paper.arcs:

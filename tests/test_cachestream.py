@@ -196,10 +196,10 @@ class TestWorkerMatchesInline:
                 count_triangles_kernel(engine, pre, GpuOptions(),
                                        memory=memory)
             assert engine.report.lane_reads > 0
-            cells = [launch(LaunchPlan(kernel="merge", graph=small_rmat))
+            cells = [launch(LaunchPlan(graph=small_rmat))
                      .report.counters()]
         with forced_transport("inline"):
-            cells.append(launch(LaunchPlan(kernel="merge", graph=small_rmat))
+            cells.append(launch(LaunchPlan(graph=small_rmat))
                          .report.counters())
         assert cells[0] == cells[1]
 

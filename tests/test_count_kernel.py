@@ -8,7 +8,6 @@ from repro.core.options import GpuOptions
 from repro.core.preprocess import preprocess
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
-from repro.graphs.generators import complete_graph
 from repro.gpusim.device import GTX_980, NVS_5200M
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.simt import LaunchConfig, SimtEngine

@@ -9,7 +9,7 @@ from repro.core.partitioned import subset_weight
 from repro.cpu.matmul import matmul_count
 from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.graphs.edgearray import EdgeArray
-from repro.gpusim.device import GTX_980, TESLA_C2050
+from repro.gpusim.device import TESLA_C2050
 from repro.gpusim.memory import DeviceMemory
 
 

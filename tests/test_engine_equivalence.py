@@ -14,8 +14,10 @@ levels.
 
 The probing strategies (binary_search, hash) and the warp-intersect
 comparator share the driver and the memory model with merge but have no
-scalar model: their counters are pinned by the committed golden cells
-and their counts must equal the CPU forward algorithm.
+scalar model of their counters: those are pinned by the committed
+golden cells, and their counts must equal the CPU forward algorithm
+(``tests/test_warp_intersect.py`` holds the warp-per-arc mapping's
+ticks and per-lane counts to a scalar model).
 
 Every reference comparison and golden cell runs the engine twice, with
 its cache model in-process and in the worker process
@@ -35,7 +37,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.count_kernel import count_triangles_kernel
 from repro.core.options import GpuOptions
 from repro.core.preprocess import preprocess
-from repro.core.warp_intersect_kernel import warp_intersect_kernel
 from repro.cpu.forward import forward_count_cpu
 from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
@@ -98,8 +99,6 @@ def _assert_matches_reference(graph, options, device=GTX_980,
 
 def _strategy_triangles(graph, options, device, lo=0, hi=None):
     memory, pre, engine = _prepared(graph, options, device)
-    if options.kernel == "warp_intersect":
-        return warp_intersect_kernel(engine, pre, lo=lo, hi=hi).triangles
     return count_triangles_kernel(engine, pre, options, lo=lo, hi=hi,
                                   memory=memory).triangles
 
@@ -230,12 +229,11 @@ class TestDispatcherGolden:
 
     @staticmethod
     def _cell(graph, kernel: str, unzip: bool) -> dict:
-        field = {"warp_intersect": "warp_intersect",
-                 "local": "two_pointer",
-                 "merge": "two_pointer"}.get(kernel, kernel)
-        opts = GpuOptions(unzip=unzip, kernel=field)
-        run = launch(LaunchPlan(kernel=kernel, graph=graph,
-                                device=GTX_980, options=opts))
+        per_vertex = kernel == "local"
+        opts = GpuOptions(unzip=unzip,
+                          kernel="two_pointer" if per_vertex else kernel)
+        run = launch(LaunchPlan(graph=graph, device=GTX_980, options=opts,
+                                per_vertex=per_vertex))
         cell = {
             "triangles": run.triangles,
             "counters": json.loads(json.dumps(run.report.counters(),
@@ -263,10 +261,17 @@ class TestDispatcherGolden:
             assert cell["per_vertex_sum"] == 3 * cell["triangles"]
 
     def test_warp_intersect_rejects_aos(self, small_rmat):
-        opts = GpuOptions(unzip=False)
         with pytest.raises(ReproError, match="SoA"):
-            launch(LaunchPlan(kernel="warp_intersect", graph=small_rmat,
-                              device=GTX_980, options=opts))
+            GpuOptions(kernel="warp_intersect", unzip=False)
+        # A slice launch over pre-built AoS structures: the strategy's
+        # own check.
+        memory = DeviceMemory(GTX_980)
+        pre = preprocess(small_rmat, GTX_980, memory, Timeline(),
+                         GpuOptions(unzip=False))
+        with pytest.raises(ReproError, match="SoA"):
+            launch(LaunchPlan(device=GTX_980, memory=memory,
+                              preprocessed=pre,
+                              options=GpuOptions(kernel="warp_intersect")))
 
 
 _DEVICE_KEYS = st.sampled_from(["gtx980", "nvs5200m", "tiny"])

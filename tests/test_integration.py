@@ -10,7 +10,6 @@ Each test corresponds to a claim in the paper that must hold
 * multi-GPU speedup tracks the preprocessing fraction (Section III-E).
 """
 
-import numpy as np
 import pytest
 
 import repro

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.count_kernel import count_triangles_kernel
-from repro.core.intersect import (check_per_vertex, get_strategy,
-                                  lower_bound_round, strategy_for_options,
-                                  strategy_names)
+from repro.core.intersect import (MergeStrategy, WarpIntersectStrategy,
+                                  check_per_vertex, get_strategy,
+                                  lower_bound_round, strategy_names)
 from repro.core.intersect.hashed import pow2_ceil
 from repro.core.options import GpuOptions
 from repro.core.preprocess import preprocess
@@ -31,32 +31,34 @@ from repro.runtime import LaunchPlan, launch
 
 class TestRegistry:
     def test_builtin_strategies(self):
-        assert set(strategy_names()) == {"merge", "binary_search", "hash"}
+        assert strategy_names() == ("binary_search", "hash", "two_pointer",
+                                    "warp_intersect")
+        for name in strategy_names():
+            assert get_strategy(name).name == name
 
     def test_two_pointer_maps_to_merge(self):
-        assert strategy_for_options(GpuOptions()).name == "merge"
-        assert strategy_for_options(
-            GpuOptions(kernel="binary_search")).name == "binary_search"
-        assert strategy_for_options(
-            GpuOptions(kernel="hash")).name == "hash"
+        assert isinstance(get_strategy(GpuOptions().kernel), MergeStrategy)
 
-    def test_warp_intersect_is_not_a_strategy(self):
-        with pytest.raises(ReproError, match="warp_intersect"):
-            strategy_for_options(GpuOptions(kernel="warp_intersect"))
+    def test_warp_intersect_is_a_warp_per_arc_strategy(self):
+        strategy = get_strategy("warp_intersect")
+        assert isinstance(strategy, WarpIntersectStrategy)
+        assert strategy.warp_per_arc
+        assert not any(get_strategy(n).warp_per_arc
+                       for n in strategy_names() if n != "warp_intersect")
 
     def test_auto_must_be_resolved_first(self):
         with pytest.raises(ReproError, match="autopick"):
-            strategy_for_options(GpuOptions(kernel="auto"))
+            get_strategy("auto")
 
     def test_unknown_strategy_names_choices(self):
-        with pytest.raises(ReproError, match="merge"):
+        with pytest.raises(ReproError, match="two_pointer"):
             get_strategy("bitonic")
 
 
 class TestLifecycleContracts:
     def test_only_merge_supports_per_vertex(self, small_rmat):
         device = GTX_980
-        for kernel in ("binary_search", "hash"):
+        for kernel in ("binary_search", "hash", "warp_intersect"):
             options = GpuOptions(kernel=kernel)
             memory = DeviceMemory(device)
             pre = preprocess(small_rmat, device, memory, Timeline(), options)
@@ -67,8 +69,8 @@ class TestLifecycleContracts:
                                        per_vertex_buf=pv, memory=memory)
 
     def test_check_per_vertex_merge_passes(self):
-        assert check_per_vertex(get_strategy("merge"), None) is False
-        assert check_per_vertex(get_strategy("merge"), object()) is True
+        assert check_per_vertex(get_strategy("two_pointer"), None) is False
+        assert check_per_vertex(get_strategy("two_pointer"), object()) is True
 
     def test_hash_requires_memory(self, small_rmat):
         options = GpuOptions(kernel="hash")
@@ -97,22 +99,22 @@ class TestLifecycleContracts:
 
 class TestStrategyCounts:
     @pytest.mark.parametrize("kernel", ["two_pointer", "binary_search",
-                                        "hash"])
+                                        "hash", "warp_intersect"])
     def test_exact_on_every_reference_graph(self, any_graph, kernel):
         want = forward_count_cpu(any_graph).triangles
         run = launch(LaunchPlan(
-            kernel="merge" if kernel == "two_pointer" else kernel,
             graph=any_graph, device=GTX_980,
             options=GpuOptions(kernel=kernel, sanitize="strict")))
         assert run.triangles == want
 
-    @pytest.mark.parametrize("kernel", ["binary_search", "hash"])
+    @pytest.mark.parametrize("kernel", ["binary_search", "hash",
+                                        "warp_intersect"])
     def test_merge_variant_knob_is_inert(self, small_rmat, kernel):
         """merge_variant belongs to the merge strategy; the probing
         strategies must produce identical traces under either value."""
         counters = {}
         for mv in ("final", "preliminary"):
-            run = launch(LaunchPlan(kernel=kernel, graph=small_rmat,
+            run = launch(LaunchPlan(graph=small_rmat,
                                     options=GpuOptions(kernel=kernel,
                                                        merge_variant=mv)))
             counters[mv] = (run.triangles, run.report.counters())

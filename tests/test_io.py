@@ -1,6 +1,5 @@
 """Unit tests for graph I/O round-trips."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError

@@ -1,6 +1,5 @@
 """Unit tests for Matrix Market I/O and component utilities."""
 
-import numpy as np
 import pytest
 
 from repro.cpu.matmul import matmul_count

@@ -111,10 +111,10 @@ class TestKernelSelection:
         for kernel in ("binary_search", "hash", "auto"):
             assert GpuOptions(kernel=kernel).kernel == kernel
 
-    def test_kernels_attr_derives_from_registry(self):
+    def test_kernels_match_strategy_table(self):
         from repro.core import options as options_mod
-        from repro.runtime import kernel_option_fields
-        assert options_mod.KERNELS == kernel_option_fields() + ("auto",)
+        from repro.core.intersect import strategy_names
+        assert options_mod.KERNELS == strategy_names() + ("auto",)
         assert {"two_pointer", "binary_search", "hash",
                 "warp_intersect", "auto"} <= set(options_mod.KERNELS)
 

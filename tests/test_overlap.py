@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.overlap import (OverlapReport, baseline_problems,
-                                 run_exchange_row, run_overlap,
-                                 run_pipeline_row)
+from repro.bench.overlap import (baseline_problems, run_exchange_row,
+                                 run_overlap, run_pipeline_row)
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.errors import ReproError
@@ -35,7 +34,7 @@ CHUNKS = 8
 
 class TestPipelinedPlan:
     def test_defaults_valid(self, small_rmat):
-        run = launch(LaunchPlan(kernel="merge", graph=small_rmat,
+        run = launch(LaunchPlan(graph=small_rmat,
                                 pipeline_chunks=CHUNKS))
         names = [e.name for e in run.timeline.events]
         assert sum("[chunk" in n for n in names) == 2 * CHUNKS
@@ -123,7 +122,7 @@ class TestPipelinedExecution:
 
     def test_pipelined_launch_needs_graph(self):
         with pytest.raises(ReproError, match="graph"):
-            launch(LaunchPlan(kernel="merge", pipeline_chunks=CHUNKS))
+            launch(LaunchPlan(pipeline_chunks=CHUNKS))
 
     def test_chunked_preprocess_needs_dagger(self, small_rmat):
         from repro.core.preprocess import preprocess
@@ -140,7 +139,7 @@ class TestPipelinedExecution:
         memory = DeviceMemory(GTX_980)
         pre = preprocess(small_rmat, GTX_980, memory, Timeline())
         with pytest.raises(ReproError, match="preprocessed"):
-            launch(LaunchPlan(kernel="merge", memory=memory,
+            launch(LaunchPlan(memory=memory,
                               preprocessed=pre, pipeline_chunks=CHUNKS))
 
     def test_golden_pinned_identity(self, small_rmat):

@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.bench.serve_scale import (ServeScaleResult, baseline_problems,
-                                     failure_schedule, run_serve_scale)
+from repro.bench.serve_scale import (baseline_problems, failure_schedule,
+                                     run_serve_scale)
 from repro.errors import ReproError
 from repro.graphs.generators.rmat import rmat
 from repro.serve import (DONE, SHED, SHED_DEADLINE, TIER_APPROX, ControlPlane,

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.core.options import GpuOptions
-from repro.gpusim.profiler import format_kernel_profile, format_run_profile
+from repro.gpusim.profiler import format_kernel_profile
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,8 @@
-"""The unified kernel runtime: registry, dispatch, launch lifecycle
-and stream timeline."""
+"""The unified kernel runtime: dispatch, launch lifecycle and stream
+timeline."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,36 +17,7 @@ from repro.errors import ReproError
 from repro.gpusim.device import GTX_980, NVS_5200M, TESLA_C2050
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.timing import Timeline
-from repro.runtime import (KernelSpec, LaunchPlan, get_kernel, kernel_names,
-                           launch, resolve_kernel, spec_for_options)
-from repro.runtime.spec import register
-
-
-class TestRegistry:
-    def test_builtin_kernels_registered(self):
-        assert kernel_names() == ("binary_search", "hash", "local", "merge",
-                                  "warp_intersect")
-
-    def test_get_kernel_unknown_names_choices(self):
-        with pytest.raises(ReproError, match="registered.*merge"):
-            get_kernel("bitonic")
-
-    def test_resolve_kernel_passthrough(self):
-        spec = get_kernel("merge")
-        assert resolve_kernel(spec) is spec
-        assert resolve_kernel("merge") is spec
-
-    def test_register_rejects_duplicate_name(self):
-        clone = KernelSpec(name="merge", display_name="X",
-                           body=get_kernel("merge").body)
-        with pytest.raises(ReproError, match="already registered"):
-            register(clone)
-
-    def test_spec_for_options(self):
-        assert spec_for_options(GpuOptions()).name == "merge"
-        assert spec_for_options(
-            GpuOptions(kernel="warp_intersect")).name == "warp_intersect"
-        assert spec_for_options(GpuOptions(), per_vertex=True).name == "local"
+from repro.runtime import LaunchPlan, launch
 
 
 class TestEagerValidation:
@@ -64,12 +34,12 @@ class TestEagerValidation:
 class TestLaunch:
     def test_matches_cpu_reference(self, small_rmat):
         want = forward_count_cpu(small_rmat).triangles
-        run = launch(LaunchPlan(kernel="merge", graph=small_rmat))
+        run = launch(LaunchPlan(graph=small_rmat))
         assert run.triangles == want
         assert run.report.counters()
 
     def test_matches_forward_gpu_pipeline(self, small_rmat):
-        run = launch(LaunchPlan(kernel="merge", graph=small_rmat))
+        run = launch(LaunchPlan(graph=small_rmat))
         via_pipeline = gpu_count_triangles(small_rmat)
         assert run.triangles == via_pipeline.triangles
         assert (run.report.counters()
@@ -77,32 +47,32 @@ class TestLaunch:
 
     def test_needs_graph_or_preprocessed(self):
         with pytest.raises(ReproError, match="graph or a preprocessed"):
-            launch(LaunchPlan(kernel="merge"))
+            launch(LaunchPlan())
 
     def test_memory_device_mismatch(self, small_rmat):
         with pytest.raises(ReproError, match="memory belongs to"):
-            launch(LaunchPlan(kernel="merge", graph=small_rmat,
+            launch(LaunchPlan(graph=small_rmat,
                               device=GTX_980,
                               memory=DeviceMemory(NVS_5200M)))
 
     def test_per_vertex_readback(self, small_rmat):
-        run = launch(LaunchPlan(kernel="local", graph=small_rmat))
+        run = launch(LaunchPlan(graph=small_rmat, per_vertex=True))
         assert run.per_vertex is not None
         assert len(run.per_vertex) == small_rmat.num_nodes
         assert int(run.per_vertex.sum()) == 3 * run.triangles
 
     def test_default_timeline_is_streamed(self, small_rmat):
-        run = launch(LaunchPlan(kernel="merge", graph=small_rmat))
+        run = launch(LaunchPlan(graph=small_rmat))
         assert isinstance(run.timeline, Timeline)
         # Single-stream run: serial protocol == stream schedule.
         assert run.timeline.overlap_savings_ms == pytest.approx(0.0)
 
     def test_sanitizer_attached_when_requested(self, small_rmat):
-        run = launch(LaunchPlan(kernel="merge", graph=small_rmat,
+        run = launch(LaunchPlan(graph=small_rmat,
                                 options=GpuOptions(sanitize="report")))
         assert run.sanitizer is not None
         assert run.sanitizer_reports == []   # clean kernel
-        off = launch(LaunchPlan(kernel="merge", graph=small_rmat))
+        off = launch(LaunchPlan(graph=small_rmat))
         assert off.sanitizer is None
 
 

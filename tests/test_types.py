@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.types import (COUNT_DTYPE, PACKED_DTYPE, VERTEX_DTYPE,
-                         TriangleCount, pack_edges, unpack_edges)
+from repro.types import (PACKED_DTYPE, VERTEX_DTYPE, TriangleCount,
+                         pack_edges, unpack_edges)
 
 
 class TestPackEdges:
