@@ -10,7 +10,7 @@ nearest-neighbour lookup in (degree_skew, density) space — so the pick
 is measured, not folklore, and regenerating the file after a timing-
 model change re-derives the whole policy.
 
-Two contracts are gated here and in CI:
+Two contracts are gated here:
 
 * **identity** — every kernel reports the same triangle count on every
   zoo graph (the registry-wide bit-exactness promise);
@@ -19,8 +19,9 @@ Two contracts are gated here and in CI:
   anything else means the lookup or the artifact is broken).
 
 Every quantity is *simulated* milliseconds — deterministic for a fixed
-(zoo, seed) — so the baseline check demands near-exact equality, like
-``repro-bench overlap``.
+(zoo, seed) — so the tier-1 tests re-run the sweep and hold it to the
+committed file with :func:`repro.bench.reproduce.committed_drift`, like
+``BENCH_overlap.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.autopick import (KERNELZOO_FORMAT, KernelZooCalibration,
                                  allowed_kernels, pick_kernel)
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
-from repro.errors import ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.graphs.generators import (barabasi_albert, complete_graph,
                                      configuration_model, erdos_renyi_gnm,
@@ -199,50 +199,3 @@ def run_kernelzoo(*, seed: int = 0, device_name: str = "gtx980",
         if progress is not None:
             progress(cell)
     return KernelZooReport(cells=cells, device=device_name, seed=seed)
-
-
-def baseline_problems(report: KernelZooReport, baseline_doc: dict,
-                      tolerance: float = 1e-6) -> list[str]:
-    """Compare a fresh sweep against the committed calibration.
-
-    Near-exact equality (everything is deterministic simulated ms);
-    the relative ``tolerance`` absorbs float-formatting noise only.  A
-    mismatch means the timing model or a kernel changed — regenerate
-    ``BENCH_kernelzoo.json`` deliberately if that was intended, since
-    the auto-pick policy is derived from it.
-    """
-    if tolerance < 0:
-        raise ReproError(f"tolerance must be >= 0, got {tolerance}")
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= tolerance * max(abs(a), abs(b), 1e-12)
-
-    if baseline_doc.get("format") != KERNELZOO_FORMAT:
-        return [f"baseline is not a {KERNELZOO_FORMAT!r} document"]
-    baseline = {c["graph"]: c for c in baseline_doc.get("cells", [])}
-    problems = []
-    for c in report.cells:
-        want = baseline.get(c.graph)
-        if want is None:
-            problems.append(f"{c.graph}: no matching baseline cell")
-            continue
-        if want.get("winner") != c.winner:
-            problems.append(f"{c.graph}: winner {c.winner!r} != baseline "
-                            f"{want.get('winner')!r}")
-        if int(want.get("triangles", -1)) != c.triangles:
-            problems.append(f"{c.graph}: triangles {c.triangles} != "
-                            f"baseline {want.get('triangles')}")
-        want_ms = {k: v["kernel_ms"]
-                   for k, v in want.get("kernels", {}).items()}
-        for k, ms in c.kernel_ms.items():
-            if k not in want_ms:
-                problems.append(f"{c.graph}: kernel {k!r} missing from "
-                                "baseline (regenerate the calibration)")
-            elif not close(ms, float(want_ms[k])):
-                problems.append(f"{c.graph}: {k} kernel_ms {ms:g} != "
-                                f"baseline {want_ms[k]:g}")
-    for name in baseline:
-        if all(c.graph != name for c in report.cells):
-            problems.append(f"{name}: baseline cell not re-measured "
-                            "(zoo shrank?)")
-    return problems

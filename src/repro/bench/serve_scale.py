@@ -19,10 +19,11 @@ with an explicit error bound, so the plane replay finishes with **zero
 lost and zero unanswered jobs** and a bounded p99, while its exact
 answers stay bit-identical to the seed replay's.
 
-The committed ``BENCH_serve.json`` pins those properties; the CI
-``serve-scale`` job regenerates the bench and fails when the plane
-replay loses a job, breaks exact-answer identity, or drifts its p99
-beyond the tolerance of the committed baseline.
+:meth:`ServeScaleResult.checks` gates those three properties for both
+``repro-bench serve-scale`` and the reproduction bundle.  The committed
+``BENCH_serve.json`` pins the whole document: the tier-1 tests
+regenerate it and hold it to the committed file with
+:func:`repro.bench.reproduce.committed_drift`.
 """
 
 from __future__ import annotations
@@ -125,6 +126,22 @@ class ServeScaleResult:
     def json_str(self) -> str:
         return json.dumps(self.doc(), indent=2, sort_keys=True) + "\n"
 
+    def checks(self) -> list[dict]:
+        """The contract gates: no plane job lost, every plane job
+        answered, exact answers identical to the seed replay's."""
+        plane = report_doc(self.plane_report)
+        lost, unanswered = plane["lost"], plane["unanswered"]
+        return [
+            {"name": "plane_no_lost_jobs", "passed": lost == 0,
+             "detail": f"plane replay lost {lost} job(s)"},
+            {"name": "plane_all_answered", "passed": unanswered == 0,
+             "detail": f"plane replay left {unanswered} job(s) "
+                       "unanswered"},
+            {"name": "exact_identical", "passed": self.identical,
+             "detail": "plane exact answers must match the seed replay "
+                       "bit for bit"},
+        ]
+
     def summary(self) -> str:
         s, p = self.seed_report, self.plane_report
         return (f"{len(s.jobs)} jobs @ {self.rate_multiplier:g}x: "
@@ -177,41 +194,3 @@ def run_serve_scale(fleet_spec: str = "gtx980x4",
         burst=burst, seed=seed, schedule=schedule,
         seed_report=seed_report, plane_report=plane_report,
         identical=not mismatched, mismatched_ids=mismatched)
-
-
-def baseline_problems(doc: dict, baseline: dict,
-                      p99_tolerance: float = 1.2) -> list[str]:
-    """Regressions of a fresh serve-scale ``doc()`` vs the committed one.
-
-    Flags: any plane-replay job lost or left unanswered, broken
-    exact-answer identity, plane p99 drifting more than
-    ``p99_tolerance`` × the committed p99, and config mismatches (a
-    changed config makes the comparison meaningless — regenerate the
-    baseline deliberately instead).
-    """
-    problems = []
-    cur_cfg, base_cfg = doc.get("config", {}), baseline.get("config", {})
-    for key in ("fleet", "duration_ms", "rate_per_s", "rate_multiplier",
-                "burst", "seed"):
-        if cur_cfg.get(key) != base_cfg.get(key):
-            problems.append(
-                f"config mismatch on {key!r}: {cur_cfg.get(key)!r} vs "
-                f"baseline {base_cfg.get(key)!r}")
-    plane = doc.get("plane_replay", {})
-    if plane.get("lost", 1):
-        problems.append(f"plane replay lost {plane.get('lost')} job(s)")
-    if plane.get("unanswered", 1):
-        problems.append(
-            f"plane replay left {plane.get('unanswered')} job(s) "
-            f"unanswered")
-    if not doc.get("exact_identical", False):
-        problems.append(
-            f"exact answers diverged from the seed replay "
-            f"(ids {doc.get('mismatched_ids')})")
-    base_p99 = baseline.get("plane_replay", {}).get("p99_ms")
-    cur_p99 = plane.get("p99_ms")
-    if base_p99 and cur_p99 is not None and cur_p99 > base_p99 * p99_tolerance:
-        problems.append(
-            f"plane p99 regressed: {cur_p99:.3f} ms vs committed "
-            f"{base_p99:.3f} ms (tolerance {p99_tolerance:g}x)")
-    return problems

@@ -128,7 +128,7 @@ def count_triangles_kernel(engine: SimtEngine,
         raise ReproError(f"arc range [{lo}, {hi}) outside [0, {m})")
 
     strategy = get_strategy(options.kernel)
-    track_corners = check_per_vertex(strategy, per_vertex_buf)
+    track_corners = check_per_vertex(strategy, per_vertex_buf is not None)
     ctx = strategy.prepare(engine, pre, options, memory)
 
     unzipped = pre.aos is None

@@ -178,9 +178,10 @@ class IntersectionStrategy:
 
 
 def check_per_vertex(strategy: IntersectionStrategy,
-                     per_vertex_buf: DeviceBuffer | None) -> bool:
-    """Validate the local-triangle hook against the strategy."""
-    if per_vertex_buf is None:
+                     per_vertex: bool) -> bool:
+    """Validate a request for the local-triangle hook against the
+    strategy; returns whether corners are tracked."""
+    if not per_vertex:
         return False
     if not strategy.supports_per_vertex:
         raise ReproError(

@@ -6,8 +6,8 @@ now live here, written once, in the order that keeps results and every
 historical pipelines (device addresses feed the cache model, so even
 *allocation order* is part of the contract):
 
-1. validate the plan (memory/device match, layout — eagerly, with
-   typed errors);
+1. validate the plan (memory/device match, layout, per-vertex support
+   — eagerly, with typed errors);
 2. attach the sanitizer to :class:`~repro.gpusim.memory.DeviceMemory`
    *before* the first allocation (initcheck must see every buffer);
 3. construct the :class:`~repro.gpusim.simt.SimtEngine` from
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.count_kernel import CountKernelResult, count_triangles_kernel
-from repro.core.intersect import get_strategy
+from repro.core.intersect import check_per_vertex, get_strategy
 from repro.core.options import GpuOptions
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.errors import ReproError
@@ -161,6 +161,7 @@ def launch(plan: LaunchPlan) -> KernelLaunch:
     the lifecycle and its ordering constraints)."""
     options = plan.options
     strategy = get_strategy(options.kernel)
+    check_per_vertex(strategy, plan.per_vertex)
     device = plan.device
     memory = plan.memory if plan.memory is not None else DeviceMemory(device)
     if memory.spec.name != device.name:

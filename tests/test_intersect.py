@@ -69,8 +69,8 @@ class TestLifecycleContracts:
                                        per_vertex_buf=pv, memory=memory)
 
     def test_check_per_vertex_merge_passes(self):
-        assert check_per_vertex(get_strategy("two_pointer"), None) is False
-        assert check_per_vertex(get_strategy("two_pointer"), object()) is True
+        assert check_per_vertex(get_strategy("two_pointer"), False) is False
+        assert check_per_vertex(get_strategy("two_pointer"), True) is True
 
     def test_hash_requires_memory(self, small_rmat):
         options = GpuOptions(kernel="hash")

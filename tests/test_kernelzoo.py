@@ -1,6 +1,6 @@
 """The kernel-zoo calibration bench (``repro-bench kernelzoo``): report
-gates, the committed-artifact acceptance contract, and baseline drift
-detection.
+gates and the committed-artifact acceptance contract, a fresh sweep
+included.
 
 The ISSUE acceptance criterion lives here: with the committed
 ``BENCH_kernelzoo.json`` as calibration, ``kernel="auto"`` on each of
@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.kernelzoo import (KernelZooReport, ZooCell, _zoo,
-                                   baseline_problems, run_zoo_cell)
+                                   run_kernelzoo, run_zoo_cell)
+from repro.bench.reproduce import committed_drift
 from repro.core.autopick import (KERNELZOO_FORMAT, KernelZooCalibration,
                                  allowed_kernels, pick_kernel)
 from repro.core.options import GpuOptions
-from repro.errors import ReproError
 from repro.graphs.generators import barabasi_albert
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,6 +57,14 @@ class TestCommittedArtifact:
 
     def test_report_gates_pass_on_committed_doc(self, committed_doc):
         assert _report_from_doc(committed_doc).problems() == []
+
+    def test_committed_artifact_matches(self, committed_doc):
+        """A fresh sweep reproduces the committed calibration (simulated
+        ms are deterministic)."""
+        report = run_kernelzoo(seed=committed_doc["seed"])
+        drift = committed_drift(json.loads(report.json_str()),
+                                committed_doc)
+        assert drift == [], drift
 
     def test_zoo_spans_multiple_winners(self, committed_doc):
         """A calibration with one global winner would make the whole
@@ -108,55 +116,6 @@ class TestReportGates:
         assert doc["format"] == KERNELZOO_FORMAT
         assert [c["graph"] for c in doc["cells"]] == [
             c["graph"] for c in committed_doc["cells"]]
-
-
-class TestBaselineCheck:
-    def test_committed_doc_matches_itself(self, committed_doc):
-        report = _report_from_doc(committed_doc)
-        assert baseline_problems(report, committed_doc) == []
-
-    def test_timing_drift_is_reported(self, committed_doc):
-        report = _report_from_doc(committed_doc)
-        cell = report.cells[0]
-        kernel = next(iter(cell.kernel_ms))
-        cell.kernel_ms[kernel] *= 1.5
-        problems = baseline_problems(report, committed_doc)
-        assert any("kernel_ms" in p and cell.graph in p
-                   for p in problems)
-
-    def test_small_float_noise_is_absorbed(self, committed_doc):
-        report = _report_from_doc(committed_doc)
-        cell = report.cells[0]
-        kernel = next(iter(cell.kernel_ms))
-        cell.kernel_ms[kernel] *= 1.0 + 1e-9
-        assert baseline_problems(report, committed_doc) == []
-
-    def test_new_zoo_cell_is_a_problem(self, committed_doc):
-        """The calibration is a *policy input*: a zoo
-        cell the baseline has never seen means the committed artifact
-        is stale and must be regenerated."""
-        report = _report_from_doc(committed_doc)
-        report.cells[0].graph = "brand_new_graph"
-        problems = baseline_problems(report, committed_doc)
-        assert any("no matching baseline" in p for p in problems)
-        assert any("zoo shrank" in p for p in problems)
-
-    def test_missing_kernel_in_baseline(self, committed_doc):
-        doc = json.loads(json.dumps(committed_doc))
-        kernel, _ = doc["cells"][0]["kernels"].popitem()
-        problems = baseline_problems(_report_from_doc(committed_doc), doc)
-        assert any(f"kernel {kernel!r} missing" in p for p in problems)
-
-    def test_wrong_format_short_circuits(self, committed_doc):
-        report = _report_from_doc(committed_doc)
-        problems = baseline_problems(report, {"format": "other"})
-        assert problems == [
-            f"baseline is not a {KERNELZOO_FORMAT!r} document"]
-
-    def test_negative_tolerance_rejected(self, committed_doc):
-        with pytest.raises(ReproError, match="tolerance"):
-            baseline_problems(_report_from_doc(committed_doc),
-                              committed_doc, tolerance=-1.0)
 
 
 class TestSweep:

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.overlap import (baseline_problems, run_exchange_row,
-                                 run_overlap, run_pipeline_row)
+from repro.bench.overlap import (MIN_SAVINGS, OverlapReport, PipelineRow,
+                                 run_exchange_row, run_overlap,
+                                 run_pipeline_row)
+from repro.bench.reproduce import committed_drift
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.errors import ReproError
@@ -175,22 +177,24 @@ class TestOverlapBench:
         with pytest.raises(ReproError, match="unknown workload"):
             run_exchange_row("petersen", 2)
 
-    def test_report_round_trip_and_baseline(self):
+    def test_report_round_trip(self):
         report = run_overlap(pipeline_rows=("kron17",),
                              exchange_rows=(("kron17", 3),))
         assert report.problems() == []
         doc = json.loads(report.json_str())
         assert {r["kind"] for r in doc["rows"]} == {"pipeline", "exchange"}
-        # Self-comparison is exact; a perturbed baseline is flagged.
-        assert baseline_problems(report, doc) == []
-        doc["rows"][0]["makespan_ms"] *= 1.5
-        assert any("makespan_ms" in p
-                   for p in baseline_problems(report, doc))
 
-    def test_baseline_missing_row(self):
-        report = run_overlap(pipeline_rows=("kron17",), exchange_rows=())
-        problems = baseline_problems(report, {"rows": []})
-        assert any("no matching baseline row" in p for p in problems)
+    def test_savings_floor_is_a_gate(self):
+        row = PipelineRow(workload="kron17", nodes=1, arcs=1, triangles=0,
+                          chunks=8, total_ms=1.0,
+                          modeled_ms=1.0 - MIN_SAVINGS / 2,
+                          makespan_ms=1.0 - MIN_SAVINGS / 2,
+                          identical=True, protocol_kept=True)
+        report = OverlapReport(pipeline_rows=[row], exchange_rows=[],
+                               device="gtx980", multi_device="c2050",
+                               chunks=8, seed=0)
+        problems = report.problems()
+        assert len(problems) == 1 and "saves" in problems[0]
 
     def test_committed_artifact_matches(self):
         """The committed BENCH_overlap.json reproduces bit-for-bit
@@ -199,7 +203,8 @@ class TestOverlapBench:
         committed = json.loads(path.read_text())
         report = run_overlap(chunks=committed["chunks"],
                              seed=committed["seed"])
-        assert baseline_problems(report, committed) == []
+        drift = committed_drift(json.loads(report.json_str()), committed)
+        assert drift == [], drift
         assert report.problems() == []
 
 

@@ -2,15 +2,18 @@
 
 Covers the three components — degraded tier, SLO-aware admission,
 replica groups (through cache pinning) — plus the
-per-tier report/CSV accounting and the serve-scale bench + CLI gate.
+per-tier report/CSV accounting, the serve-scale bench + CLI gate and
+the committed ``BENCH_serve.json``.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.serve_scale import (baseline_problems, failure_schedule,
-                                     run_serve_scale)
+from repro.bench.reproduce import committed_drift
+from repro.bench.serve_scale import failure_schedule, run_serve_scale
 from repro.errors import ReproError
 from repro.graphs.generators.rmat import rmat
 from repro.serve import (DONE, SHED, SHED_DEADLINE, TIER_APPROX, ControlPlane,
@@ -256,19 +259,28 @@ class TestServeScale:
         doc = json.loads(result.json_str())
         assert doc["bench"] == "serve-scale"
         assert doc["exact_identical"] is True
-        assert baseline_problems(doc, doc) == []
 
-    def test_baseline_detects_regressions(self, result):
-        doc = result.doc()
-        worse = json.loads(json.dumps(doc))
-        worse["plane_replay"]["lost"] = 2
-        worse["plane_replay"]["unanswered"] = 2
-        worse["plane_replay"]["p99_ms"] = doc["plane_replay"]["p99_ms"] * 10
-        assert len(baseline_problems(worse, doc)) >= 3
-        skewed = json.loads(json.dumps(doc))
-        skewed["config"]["rate_multiplier"] = 99.0
-        assert any("config mismatch" in p
-                   for p in baseline_problems(skewed, doc))
+    def test_contract_checks(self, result):
+        assert [c["name"] for c in result.checks()] == [
+            "plane_no_lost_jobs", "plane_all_answered", "exact_identical"]
+        assert all(c["passed"] for c in result.checks())
+        broken = dataclasses.replace(result, identical=False)
+        assert [c["name"] for c in broken.checks()
+                if not c["passed"]] == ["exact_identical"]
+
+    def test_committed_artifact_matches(self):
+        """A fresh run with the committed config reproduces
+        BENCH_serve.json (simulated time is deterministic)."""
+        path = Path(__file__).parent.parent / "BENCH_serve.json"
+        committed = json.loads(path.read_text())
+        cfg = committed["config"]
+        res = run_serve_scale(fleet_spec=cfg["fleet"],
+                              duration_ms=cfg["duration_ms"],
+                              rate_per_s=cfg["rate_per_s"],
+                              rate_multiplier=cfg["rate_multiplier"],
+                              burst=cfg["burst"], seed=cfg["seed"])
+        drift = committed_drift(json.loads(res.json_str()), committed)
+        assert drift == [], drift
 
     def test_failure_schedule_covers_fleet(self):
         sched = failure_schedule(4, 30_000.0)
@@ -289,9 +301,6 @@ class TestServeScale:
                    "--seed", "1", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        rc = main(["serve-scale", "--fleet", "gtx980x2", "--duration", "8",
-                   "--seed", "1", "--serve-baseline", str(out)])
-        assert rc == 0
         assert doc["plane_replay"]["unanswered"] == 0
 
 

@@ -11,7 +11,8 @@ import pytest
 from repro.bench.cli import main as cli_main
 from repro.bench.reproduce import (ARTIFACT_FILES, PRESETS, SUMMARY_FORMAT,
                                    VOLATILE_KEYS, build_parser, checks_ok,
-                                   deterministic_doc, run_reproduce)
+                                   committed_drift, deterministic_doc,
+                                   run_reproduce)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -134,6 +135,64 @@ class TestDeterminism:
         doc = {"a": 1, "git_sha": "abc",
                "nested": [{"generated_at": "x", "keep": True}]}
         assert deterministic_doc(doc) == {"a": 1, "nested": [{"keep": True}]}
+
+
+def _committed() -> dict:
+    return {"benchmark": "x", "seed": 0, "ok": True,
+            "host": {"python": "3.11.0"}, "generated_at": "2016-05-23",
+            "rows": [{"workload": "kron17", "makespan_ms": 1.25,
+                      "triangles": 10},
+                     {"workload": "ba", "makespan_ms": 0.5,
+                      "triangles": 3}]}
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, leaf = path
+        for key in parents:
+            doc = doc[key]
+        doc[leaf] = value(doc[leaf]) if callable(value) else value
+    return mutate
+
+
+def _delete(key):
+    return lambda doc: doc.pop(key)
+
+
+#: (case, mutation of the committed document, JSON path of the one
+#: expected problem or None for a match).
+DRIFT_CASES = [
+    ("identical", lambda doc: None, None),
+    ("float_within_tolerance",
+     _set(("rows", 0, "makespan_ms"), lambda v: v * (1 + 1e-9)), None),
+    ("host_ignored", _set(("host", "python"), "3.12.1"), None),
+    ("volatile_ignored", _set(("generated_at",), "2026-10-20"), None),
+    ("float_beyond_tolerance",
+     _set(("rows", 0, "makespan_ms"), lambda v: v * (1 + 1e-5)),
+     "$.rows[0].makespan_ms"),
+    ("int", _set(("rows", 1, "triangles"), 4), "$.rows[1].triangles"),
+    ("bool", _set(("ok",), False), "$.ok"),
+    ("bool_for_int", _set(("seed",), False), "$.seed"),
+    ("string", _set(("rows", 0, "workload"), "ws"), "$.rows[0].workload"),
+    ("shorter_list", lambda doc: doc["rows"].pop(), "$.rows"),
+    ("missing_key", _delete("seed"), "$.seed"),
+    ("extra_key", _set(("extra",), 1), "$.extra"),
+]
+
+
+class TestCommittedDrift:
+    @pytest.mark.parametrize("mutate,path",
+                             [c[1:] for c in DRIFT_CASES],
+                             ids=[c[0] for c in DRIFT_CASES])
+    def test_committed_drift(self, mutate, path):
+        fresh = _committed()
+        mutate(fresh)
+        problems = committed_drift(fresh, _committed())
+        if path is None:
+            assert problems == []
+        else:
+            assert len(problems) == 1, problems
+            assert problems[0].startswith(path + ":"), problems
 
 
 class TestCli:

@@ -3,6 +3,8 @@ timeline."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,22 @@ class TestEagerValidation:
     def test_gpu_options_rejects_bad_strings(self, field, value):
         with pytest.raises(ReproError, match="must be one of"):
             GpuOptions(**{field: value})
+
+    def test_per_vertex_unsupported_fails_before_preprocess(
+            self, small_rmat, monkeypatch):
+        """A per-vertex plan on a kernel without the corner hook fails
+        before any device work."""
+        from repro.core.local_counts import gpu_local_counts
+
+        def no_preprocess(*args, **kwargs):
+            raise AssertionError("preprocess ran before validation")
+
+        # ``repro.runtime.launch`` the attribute is the function; patch
+        # the module of the same name.
+        monkeypatch.setattr(sys.modules["repro.runtime.launch"],
+                            "preprocess", no_preprocess)
+        with pytest.raises(ReproError, match="does not support per-vertex"):
+            gpu_local_counts(small_rmat, options=GpuOptions(kernel="hash"))
 
 
 class TestLaunch:
